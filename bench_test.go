@@ -84,7 +84,7 @@ func BenchmarkSLASweep(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// COMPLEX: Section III.C — exhaustive vs pruned vs branch-and-bound.
+// COMPLEX: Section III.C — exhaustive vs pruned vs the frontier DP.
 // ---------------------------------------------------------------------------
 
 func BenchmarkExhaustive(b *testing.B) {
@@ -117,14 +117,14 @@ func BenchmarkPruned(b *testing.B) {
 	}
 }
 
-func BenchmarkBranchAndBound(b *testing.B) {
+func BenchmarkFrontier(b *testing.B) {
 	for _, shape := range []struct{ n, k int }{{10, 2}, {8, 3}} {
 		b.Run(fmt.Sprintf("n=%d_k=%d", shape.n, shape.k), func(b *testing.B) {
 			p := syntheticProblem(shape.n, shape.k)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.BranchAndBound(); err != nil {
+				if _, err := optimize.Solve(context.Background(), p, optimize.StrategyFrontier); err != nil {
 					b.Fatal(err)
 				}
 			}

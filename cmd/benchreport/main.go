@@ -27,8 +27,8 @@
 // pricing pass is at least twice as fast as sequential, on hosts with
 // at least 4 schedulable cores (the @PROCS guard skips the check on
 // smaller machines, where the speedup cannot exist); `-require
-// 'beam_n30_gap<=0.05'` caps a quality ratio — the certified
-// optimality gap of the budgeted n=30 beam run — at 5%.
+// 'frontier_n30_gap<=0'` caps a quality ratio — the optimality gap of
+// the budgeted n=30 frontier run — at 0, i.e. an exact answer.
 package main
 
 import (

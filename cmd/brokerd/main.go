@@ -21,8 +21,8 @@
 // supersedes -fsync when both are set).
 //
 // -default-strategy picks the solver used for requests that do not
-// name one ("auto", "exhaustive", "pruned", "branch-and-bound" or
-// "parallel-pruned"); individual requests override it with their
+// name one ("auto", "frontier", "exhaustive" or "pruned"; the retired
+// names still run frontier); individual requests override it with their
 // "strategy" field. -pricing picks how the full card-pricing pass
 // enumerates the k^n options when a request leaves it open: "auto"
 // (the default — parallel only when the host has at least two cores
@@ -116,7 +116,7 @@ func run(args []string) error {
 		snapInterval    = fs.Duration("snapshot-interval", time.Minute, "how often the job WAL is compacted into a snapshot (with -data-dir)")
 		fsync           = fs.Bool("fsync", false, "fsync every job WAL append for power-loss durability (with -data-dir)")
 		groupCommit     = fs.Bool("group-commit", false, "fsync durability with concurrent WAL appends coalesced into shared flushes (with -data-dir)")
-		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one: auto (default), exhaustive, pruned, branch-and-bound or parallel-pruned")
+		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one: auto (default), frontier, exhaustive or pruned")
 		pricing         = fs.String("pricing", broker.PricingAuto, "card-pricing mode for requests that do not set one: auto, parallel or sequential")
 		parallelPricing = fs.Bool("parallel-pricing", true, "deprecated: use -pricing; false maps to -pricing sequential, true to -pricing parallel")
 		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results (0 disables the result cache)")

@@ -8,15 +8,15 @@
 //
 //	recommend   submit a recommendation request (-topology file.json or
 //	            -casestudy; -strategy picks the solver, -pricing the
-//	            card-pricing mode; -budget/-max-evaluations cap an
-//	            anytime search, -beam-width/-max-discrepancies/-epsilon
-//	            tune one; -local -format text|markdown|csv runs the
+//	            card-pricing mode; -budget/-max-evaluations cap a
+//	            frontier search, which then answers with a certified
+//	            incumbent; -local -format text|markdown|csv runs the
 //	            brokerage in-process)
 //	pareto      print the cost × uptime frontier for a request
 //	job         async brokerage over /v2/jobs:
 //	              job submit -kind recommend|pareto (-topology|-casestudy)
 //	                         [-strategy S] [-pricing M] [-budget D]
-//	                         [-beam-width N] [-epsilon E] [-wait] [-quiet]
+//	                         [-max-evaluations N] [-wait] [-quiet]
 //	              job status JOB-ID
 //	              job wait   [-quiet] JOB-ID   (streams evaluated/space_size
 //	                         progress to stderr unless -quiet)
@@ -143,56 +143,37 @@ func loadRequest(topologyPath string, caseStudy bool, strategy, pricing string) 
 // strategyUsage and pricingUsage document the flags shared by the
 // request subcommands.
 const (
-	strategyUsage = "solver strategy: auto (default), the exact exhaustive, pruned, branch-and-bound or parallel-pruned, or the anytime beam, lds or bounded"
+	strategyUsage = "solver strategy: auto (default), frontier, exhaustive or pruned; the retired branch-and-bound, parallel-pruned, beam, lds and bounded still run frontier"
 	pricingUsage  = "card-pricing mode: auto (server default), parallel or sequential"
 )
 
-// solverFlags are the anytime-lane knobs shared by recommend, pareto
-// and job submit. They populate the request's nested solver spec only
+// solverFlags are the search budget shared by recommend, pareto and
+// job submit. They populate the request's nested solver spec only
 // when set, so flag-less invocations keep the flat wire form (and its
 // cache address) untouched.
 type solverFlags struct {
-	budget    time.Duration
-	maxEvals  int64
-	beamWidth int
-	maxDisc   int
-	epsilon   float64
+	budget   time.Duration
+	maxEvals int64
 }
 
-// registerSolverFlags attaches the shared anytime flags to fs.
+// registerSolverFlags attaches the shared budget flags to fs.
 func registerSolverFlags(fs *flag.FlagSet) *solverFlags {
 	sf := &solverFlags{}
-	fs.DurationVar(&sf.budget, "budget", 0, "wall-clock search budget, e.g. 500ms; anytime strategies stop and certify a gap (0 = unlimited)")
-	fs.Int64Var(&sf.maxEvals, "max-evaluations", 0, "cap on candidates the search prices; anytime strategies only (0 = unlimited)")
-	fs.IntVar(&sf.beamWidth, "beam-width", 0, "beam strategy: survivors kept per level (0 = server default)")
-	fs.IntVar(&sf.maxDisc, "max-discrepancies", 0, "lds strategy: discrepancy budget (0 = server default)")
-	fs.Float64Var(&sf.epsilon, "epsilon", 0, "bounded strategy: admissible suboptimality fraction in [0,1] (0 = server default)")
+	fs.DurationVar(&sf.budget, "budget", 0, "wall-clock search budget, e.g. 500ms; frontier stops and certifies a gap, exhaustive and pruned fail (0 = unlimited)")
+	fs.Int64Var(&sf.maxEvals, "max-evaluations", 0, "cap on the evaluations the search performs; frontier and auto only (0 = unlimited)")
 	return sf
 }
 
 // apply folds any set flags into the request's nested solver spec.
 func (sf *solverFlags) apply(req *httpapi.RecommendationRequest) {
-	if sf.budget == 0 && sf.maxEvals == 0 && sf.beamWidth == 0 && sf.maxDisc == 0 && sf.epsilon == 0 {
+	if sf.budget == 0 && sf.maxEvals == 0 {
 		return
 	}
 	if req.Solver == nil {
 		req.Solver = &httpapi.SolverConfigDTO{}
 	}
-	if sf.budget != 0 {
-		req.Solver.BudgetMS = sf.budget.Milliseconds()
-	}
-	if sf.maxEvals != 0 {
-		req.Solver.MaxEvaluations = sf.maxEvals
-	}
-	if sf.beamWidth != 0 {
-		req.Solver.BeamWidth = sf.beamWidth
-	}
-	if sf.maxDisc != 0 {
-		req.Solver.MaxDiscrepancies = sf.maxDisc
-	}
-	if sf.epsilon != 0 {
-		req.Solver.Epsilon = sf.epsilon
-	}
+	req.Solver.BudgetMS = sf.budget.Milliseconds()
+	req.Solver.MaxEvaluations = sf.maxEvals
 }
 
 func cmdRecommend(ctx context.Context, client *httpapi.Client, args []string) error {

@@ -173,8 +173,8 @@ func windowQuantiles(snap obs.Snapshot, prev *obs.Snapshot, family string) (p50,
 }
 
 // worstSolverGap reads the solver_gap gauge family — one series per
-// approximate strategy that has run — and reports the largest last
-// certified gap. Max across series, never a sum: gauges are levels,
+// certifying strategy that has run — and reports the largest last
+// gap. Max across series, never a sum: gauges are levels,
 // and the operator cares about the worst certificate on display.
 func worstSolverGap(snap obs.Snapshot) (gap float64, ok bool) {
 	fam, found := snap.Family("solver_gap")

@@ -129,8 +129,8 @@ func (c *Comparison) add(d Delta) {
 
 // Requirement is a hard bound on a ratio: a floor for speedups (the
 // CI assertion that the n=19 pricing speedup stays at or above 2x on
-// multi-core runners), or a ceiling for quality figures (the
-// certified n=30 beam gap staying at or below 5%).
+// multi-core runners), or a ceiling for quality figures (the n=30
+// frontier gap staying at 0).
 type Requirement struct {
 	// Ratio names the ratio the bound applies to.
 	Ratio string

@@ -170,25 +170,26 @@ func solverSpec(strategy string) Spec {
 	}
 }
 
-// anytimeSpec builds one anytime-lane scenario: the SLA-dense n=30
-// wide instance (2^30 candidates, ~4000x beyond what the exact lane
-// enumerates in the same time) solved under the acceptance budget of
-// 500ms wall on whatever cores the host grants. The measurement is
-// the usual ns/op; the certificate of the last run rides along in
-// Extra, and the derived *_n30_gap quality ratios floor it in CI —
-// the suite fails loudly if an anytime strategy stops certifying
-// near-optimality within budget, not just if it gets slower.
-func anytimeSpec(strategy string) Spec {
+// frontierWideSpec is the frontier DP on the SLA-dense n=30 wide
+// instance (2^30 candidates, 16x past the cap the enumerating
+// strategies accept) under a 500ms wall budget. The measurement is the
+// usual ns/op; the last run's certificate rides along in Extra, and
+// the derived frontier_n30_gap quality ratio gates it in CI at 0 — the
+// suite fails loudly if the DP stops answering this shape exactly
+// within budget (a blown budget or state cap answers with a certified
+// greedy incumbent, whose gap is positive), not just if it gets
+// slower.
+func frontierWideSpec() Spec {
 	var last optimize.Result
 	var lastNs int64
 	return Spec{
-		Name:    fmt.Sprintf("solver/%s/n=30", strategy),
+		Name:    "solver/frontier/n=30",
 		Group:   "solver",
 		Tracked: true,
 		Setup: func(string) (runFunc, func(), error) {
 			p := optimize.BenchProblem(optimize.BenchWideN, optimize.BenchSLAWidePercent)
 			cfg := optimize.SolverConfig{
-				Strategy: strategy,
+				Strategy: optimize.StrategyFrontier,
 				Budget:   optimize.Budget{Wall: 500 * time.Millisecond},
 			}
 			return func(iters int) error {
@@ -466,10 +467,8 @@ func Suite() []Spec {
 		streamSpec(),
 		evalSpec(false), evalSpec(true),
 		solverSpec(optimize.StrategyPruned),
-		solverSpec(optimize.StrategyParallelPruned),
-		solverSpec(optimize.StrategyBranchAndBound),
-		anytimeSpec(optimize.StrategyBeam),
-		anytimeSpec(optimize.StrategyBounded),
+		solverSpec(optimize.StrategyFrontier),
+		frontierWideSpec(),
 		supersetIndexSpec("pointer", false), supersetIndexSpec("flat", false),
 		prunedDeepSpec(), supersetIndexSpec("pointer", true),
 		appendSpec(false), appendSpec(true),
@@ -490,7 +489,6 @@ var ratioSpecs = []Ratio{
 	{Name: "pricing_parallel_speedup_n19", Numerator: "pricing/sequential/n=19", Denominator: "pricing/parallel/n=19", HigherIsBetter: true},
 	{Name: "eval_incremental_speedup_n19", Numerator: "eval/scratch/n=19", Denominator: "eval/incremental/n=19", HigherIsBetter: true},
 	{Name: "pricing_stream_speedup_n19", Numerator: "pricing/sequential/n=19", Denominator: "pricing/stream/n=19", HigherIsBetter: true},
-	{Name: "parallel_pruned_speedup_n19", Numerator: "solver/pruned/n=19", Denominator: "solver/parallel-pruned/n=19", HigherIsBetter: true},
 	{Name: "trie_flat_speedup_n19", Numerator: "solver/pruned-pointer/n=19", Denominator: "solver/pruned/n=19", HigherIsBetter: true},
 	{Name: "trie_checkpoint_speedup_n19", Numerator: "solver/pruned-flat/n=19", Denominator: "solver/pruned/n=19", HigherIsBetter: true},
 	{Name: "trie_flat_deep_speedup_n19", Numerator: "solver/pruned-pointer-deep/n=19", Denominator: "solver/pruned-deep/n=19", HigherIsBetter: true},
@@ -510,8 +508,7 @@ var qualityRatios = []struct {
 	Scenario string
 	Key      string
 }{
-	{Name: "beam_n30_gap", Scenario: "solver/beam/n=30", Key: "gap"},
-	{Name: "bounded_n30_gap", Scenario: "solver/bounded/n=30", Key: "gap"},
+	{Name: "frontier_n30_gap", Scenario: "solver/frontier/n=30", Key: "gap"},
 }
 
 // Options configures one suite run.

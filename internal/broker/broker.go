@@ -132,13 +132,12 @@ type Request struct {
 	// contradiction Validate rejects.
 	Strategy string
 
-	// Solver is the nested solver specification: the strategy plus the
-	// anytime lane's budget and knobs (beam width, discrepancy budget,
-	// epsilon). The zero value means "auto with no limits", exactly the
-	// empty flat Strategy. Exact strategies reject an evaluation cap and
-	// turn a wall budget into a deadline; the approximate strategies
-	// (beam, lds, bounded) honor both budget kinds and certify their
-	// optimality gap in SearchStats.
+	// Solver is the nested solver specification: the strategy plus its
+	// budget. The zero value means "auto with no limits", exactly the
+	// empty flat Strategy. Exhaustive and pruned reject an evaluation
+	// cap and turn a wall budget into a deadline; frontier honors both
+	// budget kinds and, when one fires, certifies the optimality gap of
+	// its incumbent in SearchStats.
 	Solver optimize.SolverConfig
 
 	// Pricing selects how the full card-pricing pass enumerates the

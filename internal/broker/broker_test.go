@@ -193,12 +193,17 @@ func TestCaseStudyReproducesPaper(t *testing.T) {
 		}
 	}
 
-	// The pruned search must have clipped at least the #8 superset.
-	if rec.Search.Skipped == 0 {
-		t.Fatal("pruned search skipped nothing")
+	// The Section III.C statistics come from the pruned search asked
+	// for by name (auto fuses exhaustive into the pricing pass here):
+	// it must have clipped the #8 superset of #5, and only that.
+	req := CaseStudy()
+	req.Strategy = optimize.StrategyPruned
+	pruned, err := e.Recommend(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec.Search.SpaceSize != 8 || rec.Search.Evaluated+rec.Search.Skipped != 8 {
-		t.Fatalf("search stats inconsistent: %+v", rec.Search)
+	if pruned.Search.SpaceSize != 8 || pruned.Search.Evaluated != 7 || pruned.Search.Skipped != 1 {
+		t.Fatalf("pruned search stats = %+v, want 7 evaluated + 1 skipped of 8", pruned.Search)
 	}
 }
 
@@ -269,6 +274,7 @@ func TestRecommendWithoutAsIs(t *testing.T) {
 func TestFutureWorkScenario(t *testing.T) {
 	e := newTestEngine(t)
 	req := FutureWork(catalog.ProviderSoftLayerSim)
+	req.Strategy = optimize.StrategyPruned
 	rec, err := e.Recommend(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Recommend: %v", err)
@@ -477,19 +483,21 @@ func TestStrategySelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Search.Strategy != optimize.StrategyBranchAndBound {
-			t.Fatalf("Search.Strategy = %q, want the engine default", rec.Search.Strategy)
+		// branch-and-bound is a retired alias: the stats echo the
+		// strategy it runs.
+		if rec.Search.Strategy != optimize.StrategyFrontier {
+			t.Fatalf("Search.Strategy = %q, want the engine default's frontier", rec.Search.Strategy)
 		}
 	})
 
-	t.Run("auto resolves to pruned on the case study", func(t *testing.T) {
+	t.Run("auto resolves to exhaustive on the case study", func(t *testing.T) {
 		e := newTestEngine(t)
 		rec, err := e.Recommend(ctx, CaseStudy())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Search.Strategy != optimize.StrategyPruned {
-			t.Fatalf("Search.Strategy = %q, want pruned", rec.Search.Strategy)
+		if rec.Search.Strategy != optimize.StrategyExhaustive || rec.Search.Evaluated != 8 {
+			t.Fatalf("Search = %+v, want the fused exhaustive pass over all 8 options", rec.Search)
 		}
 	})
 
@@ -499,7 +507,8 @@ func TestStrategySelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strategy := range optimize.Strategies() {
+		for _, strategy := range append(optimize.Strategies(), optimize.StrategyBranchAndBound, optimize.StrategyParallelPruned,
+			optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded) {
 			req := CaseStudy()
 			req.Strategy = strategy
 			rec, err := e.Recommend(ctx, req)

@@ -27,6 +27,8 @@ type compiled struct {
 // component, the no-HA baseline plus one variant per allowed catalog
 // technology of the component's layer, with cluster parameters drawn
 // from the parameter source and prices from the provider's rate card.
+// The problem is shape-checked only: the enumerating searches enforce
+// optimize.MaxCandidates themselves, the frontier DP does not need it.
 func (e *Engine) Compile(req Request) (*optimize.Problem, error) {
 	c, err := e.compile(e.normalize(req))
 	if err != nil {
@@ -99,8 +101,10 @@ func (e *Engine) compile(req Request) (*compiled, error) {
 		names = append(names, comp.Name)
 	}
 
+	// The space-size cap is left to the caller: Recommend's pricing
+	// pass enumerates every card, Pareto's frontier DP does not.
 	problem := &optimize.Problem{Components: comps, SLA: req.SLA}
-	if err := problem.Validate(); err != nil {
+	if err := problem.ValidateShape(); err != nil {
 		return nil, fmt.Errorf("broker: compiled problem invalid: %w", err)
 	}
 	return &compiled{problem: problem, techIDs: techIDs, names: names}, nil

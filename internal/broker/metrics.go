@@ -23,8 +23,8 @@ type engineMetrics struct {
 }
 
 // solverMetrics is one strategy's run/throughput series. The gap gauge
-// and budget counter exist only for the approximate strategies — exact
-// runs have no certificate to report, and a permanent 0% gap series
+// and budget counter exist only for frontier, the one strategy that
+// can stop early and certify an incumbent — a permanent 0% gap series
 // for "pruned" would read as a claim it never makes.
 type solverMetrics struct {
 	runs            *obs.Counter
@@ -55,9 +55,9 @@ func (m *engineMetrics) solverFor(strategy string) *solverMetrics {
 		clipped:      m.reg.Counter("solver_clipped_total", "Candidates clipped by a covering SLA-meeting assignment, per strategy.", l),
 		seconds:      m.reg.Histogram("solver_run_seconds", "End-to-end recommendation search time per strategy.", obs.ExponentialBuckets(0.0001, 4, 12), l),
 	}
-	if optimize.ApproximateStrategy(strategy) {
-		s.gap = m.reg.Gauge("solver_gap", "Certified relative optimality gap of the last approximate run, per strategy (0 = proven optimal).", l)
-		s.budgetExhausted = m.reg.Counter("solver_budget_exhausted_total", "Approximate runs stopped by their wall-clock or evaluation budget, per strategy.", l)
+	if strategy == optimize.StrategyFrontier {
+		s.gap = m.reg.Gauge("solver_gap", "Certified relative optimality gap of the last run, per strategy (0 = proven optimal).", l)
+		s.budgetExhausted = m.reg.Counter("solver_budget_exhausted_total", "Runs stopped by their wall-clock or evaluation budget, per strategy.", l)
 	}
 	m.solvers[strategy] = s
 	return s
@@ -67,9 +67,10 @@ func (m *engineMetrics) solverFor(strategy string) *solverMetrics {
 // evaluations across pricing and search, the strategy's search
 // statistics (including superset-index lookups and cover clips), and
 // the run's wall time. One bulk add per run — the per-candidate hot
-// loop stays uninstrumented. Approximate runs additionally publish
-// their certified gap (skipped when infinite — a gauge cannot render
-// "no bound proven") and count budget-stopped runs.
+// loop stays uninstrumented. Frontier runs additionally publish their
+// gap — 0 when exact, the certified gap when stopped early (skipped
+// when infinite: a gauge cannot render "no bound proven") — and count
+// budget-stopped runs.
 func (m *engineMetrics) observeRun(stats SearchStats, evaluated int64, seconds float64) {
 	m.evaluations.Add(evaluated)
 	s := m.solverFor(stats.Strategy)
@@ -79,7 +80,7 @@ func (m *engineMetrics) observeRun(stats SearchStats, evaluated int64, seconds f
 	s.coverLookups.Add(int64(stats.CoverLookups))
 	s.clipped.Add(int64(stats.Clipped))
 	s.seconds.Observe(seconds)
-	if stats.Approximate && s.gap != nil {
+	if s.gap != nil {
 		if !math.IsInf(stats.Gap, 1) {
 			s.gap.Set(stats.Gap)
 		}

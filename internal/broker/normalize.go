@@ -130,14 +130,11 @@ func (e *Engine) cacheKey(kind string, req Request) string {
 		}
 	}
 	fmt.Fprintf(h, "strategy=%q", req.Strategy)
-	// The solver knobs are hashed only when one is set, so every
-	// pre-existing key — and every nested spelling that only names a
-	// strategy — stays byte-identical to the flat spelling's address.
-	if s := req.Solver; s.Budget.Wall != 0 || s.Budget.MaxEvaluations != 0 ||
-		s.BeamWidth != 0 || s.MaxDiscrepancies != 0 || s.Epsilon != 0 {
-		fmt.Fprintf(h, "|solver=%d,%d,%d,%d,%x",
-			int64(s.Budget.Wall), s.Budget.MaxEvaluations,
-			s.BeamWidth, s.MaxDiscrepancies, math.Float64bits(s.Epsilon))
+	// The budget is hashed only when set, so a nested spelling that
+	// only names a strategy stays byte-identical to the flat spelling's
+	// address.
+	if b := req.Solver.Budget; !b.IsZero() {
+		fmt.Fprintf(h, "|budget=%d,%d", int64(b.Wall), b.MaxEvaluations)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,12 +2,7 @@ package broker
 
 import (
 	"context"
-	"slices"
 	"sort"
-	"sync"
-
-	"uptimebroker/internal/cost"
-	"uptimebroker/internal/optimize"
 )
 
 // ParetoCards filters option cards to the cost × uptime frontier: a
@@ -28,7 +23,7 @@ func ParetoCards(cards []OptionCard) []OptionCard {
 			return sorted[i].Uptime > sorted[j].Uptime
 		}
 		// Exact cost+uptime ties keep the lowest option number, the
-		// same deterministic rule the streaming frontier applies.
+		// same rule the frontier DP applies.
 		return sorted[i].Option < sorted[j].Option
 	})
 	var front []OptionCard
@@ -42,79 +37,17 @@ func ParetoCards(cards []OptionCard) []OptionCard {
 	return front
 }
 
-// paretoEntry is one surviving frontier candidate: just enough to
-// build its option card after the stream finishes. The assignment is
-// cloned only when a candidate actually enters the frontier, so the
-// pass's memory is O(frontier), not O(k^n).
-type paretoEntry struct {
-	pos    int
-	a      optimize.Assignment
-	uptime float64
-	tco    cost.TCO
-}
-
-// frontier maintains the cost × uptime Pareto frontier online. The
-// entries are sorted by ascending HA cost, and the surviving set has
-// strictly increasing uptime — the invariant ParetoCards produces by
-// sorting after the fact. Exact cost+uptime ties keep the lowest
-// presentation position, which makes the fold deterministic under any
-// parallel sharding.
-type frontier struct {
-	entries []paretoEntry
-}
-
-// consider offers one candidate to the frontier. The presentation
-// position is derived lazily from rk: almost every candidate is
-// rejected by the domination checks alone, and only survivors (plus
-// exact cost+uptime ties) pay the ranker's O(n) walk — keeping the
-// per-candidate cost of the streaming pass at the cursor's O(1).
-func (f *frontier) consider(rk *ranker, a optimize.Assignment, uptime float64, tco cost.TCO) {
-	ha := tco.HA
-	idx := sort.Search(len(f.entries), func(i int) bool { return f.entries[i].tco.HA > ha })
-	lo := idx
-	pos := -1
-	if idx > 0 {
-		prev := f.entries[idx-1]
-		if prev.uptime > uptime {
-			return // dominated: cheaper (or equal) and strictly better uptime
-		}
-		switch {
-		case prev.uptime == uptime:
-			if prev.tco.HA < ha {
-				return // dominated by a cheaper equal
-			}
-			pos = rk.position(a)
-			if prev.pos < pos {
-				return // loses the exact cost+uptime tie
-			}
-			lo = idx - 1 // wins the tie: prev falls off
-		case prev.tco.HA == ha:
-			lo = idx - 1 // equal cost, strictly better uptime: prev falls off
-		}
-	}
-	hi := idx
-	for hi < len(f.entries) && f.entries[hi].uptime <= uptime {
-		hi++ // costlier entries without an uptime edge fall off
-	}
-	if pos < 0 {
-		pos = rk.position(a)
-	}
-	e := paretoEntry{pos: pos, a: a.Clone(), uptime: uptime, tco: tco}
-	f.entries = slices.Delete(f.entries, lo, hi)
-	f.entries = slices.Insert(f.entries, lo, e)
-}
-
 // pareto runs the frontier search for one normalized request; the
 // exported entry point is Pareto (cache.go), which layers
 // normalization and the result cache on top. The context cancels the
-// underlying enumeration like recommend's.
+// search like recommend's.
 //
-// Unlike Recommend, nothing here needs every card: the frontier is
-// folded online during a single streaming pricing pass, so the pass
-// holds O(frontier) memory instead of materializing the O(k^n) card
-// list and discarding almost all of it — and no solver pass runs at
-// all, since the frontier is a property of the full card set, not of
-// the TCO optimum. Progress hooks see the single k^n pricing space.
+// Nothing here needs every card: the optimizer's frontier DP returns
+// the cost × uptime frontier from its last level, so the k^n space is
+// never enumerated and the MaxCandidates cap does not apply (the DP's
+// state cap does). The cards are exactly ParetoCards over the full
+// card list, ties to the lowest option number included. Progress
+// hooks see the single k^n space.
 func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) {
 	c, err := e.compile(req)
 	if err != nil {
@@ -129,51 +62,23 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 	if _, err := c.assignmentForPlan(req.AsIs); err != nil {
 		return nil, err
 	}
-
-	rk := newRanker(c.problem)
-	var mu sync.Mutex
-	var fronts []*frontier
-	fork := func() func(*optimize.Cursor) error {
-		f := &frontier{}
-		mu.Lock()
-		fronts = append(fronts, f)
-		mu.Unlock()
-		return func(cur *optimize.Cursor) error {
-			f.consider(rk, cur.Assignment(), cur.Uptime(), cur.TCO())
-			return nil
-		}
-	}
-	if e.parallelPricingFor(req, c.problem.SpaceSize()) {
-		err = c.problem.ParallelStreamContext(ctx, 0, fork)
-	} else {
-		err = c.problem.StreamContext(ctx, fork())
-	}
-	if err != nil {
+	front, err := c.problem.ParetoContext(ctx)
+	if err != nil || len(front) == 0 {
 		return nil, err
 	}
-
-	merged := &frontier{}
-	for _, f := range fronts {
-		for _, en := range f.entries {
-			merged.consider(rk, en.a, en.uptime, en.tco)
+	rk := newRanker(c.problem)
+	cards := make([]OptionCard, len(front))
+	for i, cand := range front {
+		cards[i] = OptionCard{
+			Option:        rk.position(cand.Assignment) + 1,
+			Choices:       c.choicesFor(cand.Assignment),
+			HACost:        cand.TCO.HA,
+			Uptime:        cand.Uptime,
+			SlippageHours: req.SLA.SlippageHoursPerMonth(cand.Uptime),
+			Penalty:       cand.TCO.ExpectedPenalty,
+			TCO:           cand.TCO.Total(),
+			MeetsSLA:      cand.MeetsSLA(req.SLA),
 		}
 	}
-
-	front := make([]OptionCard, len(merged.entries))
-	for i, en := range merged.entries {
-		front[i] = OptionCard{
-			Option:        en.pos + 1,
-			Choices:       c.choicesFor(en.a),
-			HACost:        en.tco.HA,
-			Uptime:        en.uptime,
-			SlippageHours: req.SLA.SlippageHoursPerMonth(en.uptime),
-			Penalty:       en.tco.ExpectedPenalty,
-			TCO:           en.tco.Total(),
-			MeetsSLA:      en.uptime >= req.SLA.Target(),
-		}
-	}
-	if len(front) == 0 {
-		return nil, nil
-	}
-	return front, nil
+	return cards, nil
 }

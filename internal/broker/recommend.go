@@ -168,9 +168,9 @@ type SearchStats struct {
 	// Evaluated is how many permutations the search priced.
 	Evaluated int `json:"evaluated"`
 
-	// Skipped is how many permutations were clipped without pricing
-	// (supersets of an SLA-meeting permutation, or subtrees whose cost
-	// bound could not win).
+	// Skipped is how many permutations were resolved without pricing
+	// (supersets of an SLA-meeting permutation, or completions of a
+	// dominated frontier state).
 	Skipped int `json:"skipped"`
 
 	// CoverLookups is how many superset-index lookups the search
@@ -178,17 +178,17 @@ type SearchStats struct {
 	CoverLookups int `json:"cover_lookups"`
 
 	// Clipped is how many permutations were clipped specifically by a
-	// covering SLA-meeting assignment — a subset of Skipped, which for
-	// branch-and-bound also counts bound-clipped subtrees.
+	// covering SLA-meeting assignment (the pruned search).
 	Clipped int `json:"clipped"`
 
-	// Strategy is the concrete solver that ran: "auto" requests echo
-	// what the heuristic resolved to.
+	// Strategy is the concrete solver that ran: "auto" requests and
+	// the retired aliases echo what they resolved to.
 	Strategy string `json:"strategy"`
 
-	// Approximate reports whether the solver was from the anytime lane
-	// (beam, lds, bounded): the fields below are populated only then,
-	// and omitted entirely for exact runs.
+	// Approximate reports a frontier run that a budget or its state
+	// cap stopped early, answering with a certified incumbent: the
+	// fields below are populated only then, and omitted entirely for
+	// exact runs.
 	Approximate bool `json:"approximate,omitempty"`
 
 	// Bound is the certified admissible lower bound on the optimal
@@ -202,7 +202,7 @@ type SearchStats struct {
 	Gap float64 `json:"gap,omitempty"`
 
 	// Optimal reports that an approximate run closed its gap to zero —
-	// the incumbent is a proven optimum despite the approximate lane.
+	// the incumbent is a proven optimum despite the early stop.
 	Optimal bool `json:"optimal,omitempty"`
 
 	// BudgetExhausted reports that the run stopped on its wall-clock or
@@ -244,7 +244,7 @@ type Recommendation struct {
 	// as-is plan. The case study reports ≈ 0.62.
 	SavingsFraction float64 `json:"savings_fraction"`
 
-	// Search reports the pruned-search effort statistics.
+	// Search reports the solver's effort statistics.
 	Search SearchStats `json:"search"`
 }
 
@@ -298,16 +298,21 @@ func (s *priceState) fold(o priceState) {
 // ranker, so parallel shards write disjoint slots), with the best-TCO
 // and min-risk incumbents folded online — no materialized candidate
 // slice, no order permutation, no sort pass. When the requested
-// strategy resolves to exhaustive, the search IS the pricing pass, so
-// the solver pass is skipped entirely and its statistics fall out of
-// the stream; pruning strategies still run their (much cheaper)
-// search for the paper's effort statistics. Both shapes report one
-// combined monotone progress space of 2·k^n.
+// strategy resolves to exhaustive (auto does on spaces of at most 2^10
+// candidates), the search IS the pricing pass, so the solver pass is
+// skipped entirely and its statistics fall out of the stream; any
+// other strategy runs its own search for the effort statistics. Both
+// shapes report one combined monotone progress space of 2·k^n.
 func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, error) {
 	start := time.Now()
 	c, err := e.compile(req)
 	if err != nil {
 		return nil, err
+	}
+	// The pricing pass holds one card per candidate, so Recommend keeps
+	// the MaxCandidates cap the frontier DP itself does not need.
+	if err := c.problem.Validate(); err != nil {
+		return nil, fmt.Errorf("broker: compiled problem invalid: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -11,23 +11,23 @@ import (
 )
 
 // TestSolverSpecAliasesShareCacheAddress is the back-compat contract
-// of the redesigned config surface: the deprecated flat "strategy"
-// spelling and the nested solver spec naming the same strategy
-// normalize to one form and hash to the same cache key — so a caller
-// migrating spellings keeps hitting its own cached results — while
-// setting an actual solver knob moves the address.
+// of the config surface: the deprecated flat "strategy" spelling and
+// the nested solver spec naming the same strategy normalize to one
+// form and hash to the same cache key — so a caller migrating
+// spellings keeps hitting its own cached results — while setting a
+// budget moves the address.
 func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 	e := newTestEngine(t)
 
 	flat := CaseStudy()
-	flat.Strategy = optimize.StrategyBeam
+	flat.Strategy = optimize.StrategyFrontier
 
 	nested := CaseStudy()
-	nested.Solver.Strategy = optimize.StrategyBeam
+	nested.Solver.Strategy = optimize.StrategyFrontier
 
 	both := CaseStudy()
-	both.Strategy = optimize.StrategyBeam
-	both.Solver.Strategy = optimize.StrategyBeam
+	both.Strategy = optimize.StrategyFrontier
+	both.Solver.Strategy = optimize.StrategyFrontier
 
 	flatKey := e.cacheKey("recommend", e.normalize(flat))
 	for name, req := range map[string]Request{"nested": nested, "both": both} {
@@ -36,9 +36,8 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 		}
 	}
 
-	// A zero-knob nested spec must also leave the default-strategy
-	// address untouched (the key tail is only appended when a knob is
-	// set), so every pre-PR cache entry stays reachable.
+	// A zero nested spec must also leave the default-strategy address
+	// untouched (the key tail is only appended when a budget is set).
 	plain := e.cacheKey("recommend", e.normalize(CaseStudy()))
 	zeroSpec := CaseStudy()
 	zeroSpec.Solver = optimize.SolverConfig{}
@@ -46,29 +45,23 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 		t.Fatal("zero nested spec moved the cache address of the default request")
 	}
 
-	// Knobs are semantic: a budgeted run may return a different
-	// (approximate) result, so it must not alias the unbudgeted entry.
+	// A budget is semantic: a budgeted run may return a different
+	// (certified) result, so it must not alias the unbudgeted entry.
 	budgeted := CaseStudy()
-	budgeted.Solver.Strategy = optimize.StrategyBeam
+	budgeted.Solver.Strategy = optimize.StrategyFrontier
 	budgeted.Solver.Budget.MaxEvaluations = 4
 	if key := e.cacheKey("recommend", e.normalize(budgeted)); key == flatKey {
 		t.Fatal("budgeted request aliases the unbudgeted cache entry")
 	}
-	widened := CaseStudy()
-	widened.Solver.Strategy = optimize.StrategyBeam
-	widened.Solver.BeamWidth = 2
-	if key := e.cacheKey("recommend", e.normalize(widened)); key == flatKey {
-		t.Fatal("beam-width request aliases the default-width cache entry")
-	}
 }
 
 // TestSolverSpecContradictions: the flat alias and the nested spec
-// disagreeing on the strategy is rejected, as are optimize-level
-// knob/strategy contradictions surfacing through Request.Validate.
+// disagreeing on the strategy is rejected, as are invalid budgets,
+// while a retired strategy name still validates.
 func TestSolverSpecContradictions(t *testing.T) {
 	req := CaseStudy()
 	req.Strategy = optimize.StrategyPruned
-	req.Solver.Strategy = optimize.StrategyBeam
+	req.Solver.Strategy = optimize.StrategyFrontier
 	if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "contradicts") {
 		t.Fatalf("contradicting spellings validated: %v", err)
 	}
@@ -82,17 +75,16 @@ func TestSolverSpecContradictions(t *testing.T) {
 	}
 
 	agree := CaseStudy()
-	agree.Strategy = optimize.StrategyBeam
-	agree.Solver.Strategy = optimize.StrategyBeam
+	agree.Strategy = optimize.StrategyFrontier
+	agree.Solver.Strategy = optimize.StrategyFrontier
 	if err := agree.Validate(); err != nil {
 		t.Fatalf("agreeing spellings rejected: %v", err)
 	}
 
-	knob := CaseStudy()
-	knob.Solver.Strategy = optimize.StrategyPruned
-	knob.Solver.Epsilon = 0.1
-	if err := knob.Validate(); err == nil {
-		t.Fatal("epsilon on an exact strategy validated")
+	retired := CaseStudy()
+	retired.Solver.Strategy = optimize.StrategyBeam
+	if err := retired.Validate(); err != nil {
+		t.Fatalf("retired strategy name rejected: %v", err)
 	}
 
 	neg := CaseStudy()
@@ -102,10 +94,10 @@ func TestSolverSpecContradictions(t *testing.T) {
 	}
 }
 
-// TestRecommendApproximateStats runs the full brokerage flow on an
-// anytime strategy and checks the certificate surfaces in SearchStats
-// — and that exact runs keep the fields zero, so their wire encoding
-// is unchanged.
+// TestRecommendApproximateStats runs the full brokerage flow on
+// frontier and checks that only a budget-stopped run carries a
+// certificate in SearchStats — exact runs, the retired names included,
+// keep the fields zero, so their wire encoding is unchanged.
 func TestRecommendApproximateStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	cat := newTestEngine(t).catalog
@@ -123,53 +115,56 @@ func TestRecommendApproximateStats(t *testing.T) {
 		t.Fatalf("exact run leaked certificate fields: %+v", exact.Search)
 	}
 
-	for _, strat := range []string{optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded} {
+	for _, strat := range []string{optimize.StrategyFrontier, optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded} {
 		req := CaseStudy()
 		req.Solver.Strategy = strat
 		rec, err := e.Recommend(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		if rec.Search.Strategy != strat {
-			t.Fatalf("%s: echoed strategy %q", strat, rec.Search.Strategy)
+		if rec.Search.Strategy != optimize.StrategyFrontier || rec.Search.Approximate {
+			t.Fatalf("%s: search stats %+v, want an exact frontier run", strat, rec.Search)
 		}
-		if !rec.Search.Approximate {
-			t.Fatalf("%s: run not marked approximate", strat)
-		}
-		if rec.Search.Gap < 0 {
-			t.Fatalf("%s: negative gap %v", strat, rec.Search.Gap)
-		}
-		// The case-study shape is tiny; every anytime strategy closes it
-		// completely, and the certificate must agree with the exact
-		// answer the option cards embody.
-		best := rec.Best()
-		if rec.Search.Optimal && rec.Search.Bound != best.TCO {
-			t.Fatalf("%s: optimal with bound %v but best card TCO %v", strat, rec.Search.Bound, best.TCO)
-		}
-		if rec.BestOption != exact.BestOption {
-			t.Fatalf("%s: best option %d, exact %d", strat, rec.BestOption, exact.BestOption)
+		if rec.BestOption != exact.BestOption || rec.MinRiskOption != exact.MinRiskOption {
+			t.Fatalf("%s: options %d/%d, exact %d/%d", strat, rec.BestOption, rec.MinRiskOption, exact.BestOption, exact.MinRiskOption)
 		}
 	}
 
-	// The certificate reaches the metrics registry: a labeled solver_gap
-	// gauge per approximate strategy that ran, and no gap series at all
-	// for the exact lane.
+	req := CaseStudy()
+	req.Solver = optimize.SolverConfig{Strategy: optimize.StrategyFrontier, Budget: optimize.Budget{MaxEvaluations: 1}}
+	rec, err := e.Recommend(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Search.Approximate || !rec.Search.BudgetExhausted || rec.Search.Gap < 0 {
+		t.Fatalf("budget-stopped run: %+v", rec.Search)
+	}
+	// The case study's greedy incumbent is the optimum, so the
+	// certificate must not claim anything the option cards contradict.
+	if rec.Search.Bound > rec.Best().TCO {
+		t.Fatalf("bound %v above the best card's TCO %v", rec.Search.Bound, rec.Best().TCO)
+	}
+
+	// The certificate reaches the metrics registry: one labeled
+	// solver_gap gauge for frontier, and no gap series for the
+	// enumerating strategies.
 	snap := reg.Snapshot()
 	fam, ok := snap.Family("solver_gap")
 	if !ok {
-		t.Fatal("no solver_gap family after approximate runs")
+		t.Fatal("no solver_gap family after frontier runs")
 	}
-	if got := len(fam.Series); got != 3 {
-		t.Fatalf("solver_gap has %d series, want 3 (beam, lds, bounded): %+v", got, fam.Series)
+	if got := len(fam.Series); got != 1 {
+		t.Fatalf("solver_gap has %d series, want 1 (frontier): %+v", got, fam.Series)
 	}
 	if _, ok := snap.Family("solver_budget_exhausted_total"); !ok {
-		t.Fatal("no solver_budget_exhausted_total family after approximate runs")
+		t.Fatal("no solver_budget_exhausted_total family after a budget-stopped run")
 	}
 }
 
-// TestRecommendBudgets: a budget riding on an approximate strategy is
-// honored end-to-end (the stats report exhaustion), and an evaluation
-// cap on an explicit exact strategy is refused.
+// TestRecommendBudgets: a budget riding on frontier (here through a
+// retired name) is honored end-to-end (the stats report exhaustion),
+// and an evaluation cap on an explicit enumerating strategy is
+// refused.
 func TestRecommendBudgets(t *testing.T) {
 	e := newTestEngine(t)
 
@@ -180,11 +175,11 @@ func TestRecommendBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Search.BudgetExhausted {
+	if !rec.Search.BudgetExhausted || rec.Search.Strategy != optimize.StrategyFrontier {
 		t.Fatalf("one-evaluation budget not reported exhausted: %+v", rec.Search)
 	}
-	if rec.Search.Evaluated != 1 {
-		t.Fatalf("evaluated %d under a one-evaluation budget", rec.Search.Evaluated)
+	if rec.Search.Evaluated < 1 {
+		t.Fatalf("budget-stopped run reports no incumbent evaluations: %+v", rec.Search)
 	}
 	// The pricing pass is untouched by the solver budget: every card is
 	// still present and priced.

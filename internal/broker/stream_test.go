@@ -2,17 +2,23 @@ package broker
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/cost"
 	"uptimebroker/internal/optimize"
 )
 
-// TestParetoMatchesParetoCards pins the online frontier against the
-// reference: for a spread of requests (SLA shifts move which cards
-// dominate), the streaming Engine.Pareto must return exactly
+// TestParetoMatchesParetoCards pins the frontier DP's cards against
+// the reference: Engine.Pareto must return exactly
 // ParetoCards(rec.Cards) — same options, same order, same numbers —
-// while touching O(frontier) memory instead of every card.
+// without ever enumerating the space. The cases cover the case study
+// under SLA shifts (which move the dominating cards), every provider
+// on both the restricted and the open catalog, the five-tier scenario,
+// and the tie-heavy symmetric shapes up to n=16. (n=18 is pinned
+// against a streaming reference in the optimize package: its full
+// card list alone would hold ~0.7 GB under the race detector.)
 func TestParetoMatchesParetoCards(t *testing.T) {
 	e := newTestEngine(t)
 	reqs := []Request{CaseStudy()}
@@ -21,8 +27,16 @@ func TestParetoMatchesParetoCards(t *testing.T) {
 		r.SLA = cost.SLA{UptimePercent: sla, Penalty: cost.Penalty{PerHour: cost.Dollars(150)}}
 		reqs = append(reqs, r)
 	}
-	wide := wideRequest(8)
-	reqs = append(reqs, wide)
+	for _, provider := range []string{catalog.ProviderSoftLayerSim, catalog.ProviderNimbus, catalog.ProviderStratus} {
+		restricted := CaseStudy()
+		restricted.Base.Provider = provider
+		open := restricted
+		open.AllowedTechs = nil
+		reqs = append(reqs, restricted, open, FutureWork(provider))
+	}
+	for n := 2; n <= 16; n += 2 {
+		reqs = append(reqs, wideRequest(n))
+	}
 
 	for i, req := range reqs {
 		rec, err := e.Recommend(context.Background(), req)
@@ -30,26 +44,13 @@ func TestParetoMatchesParetoCards(t *testing.T) {
 			t.Fatalf("req %d: Recommend: %v", i, err)
 		}
 		want := ParetoCards(rec.Cards)
-
-		for _, pricing := range []string{PricingSequential, PricingParallel} {
-			r := req
-			r.Pricing = pricing
-			got, err := e.Pareto(context.Background(), r)
-			if err != nil {
-				t.Fatalf("req %d (%s): Pareto: %v", i, pricing, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("req %d (%s): frontier has %d cards, want %d", i, pricing, len(got), len(want))
-			}
-			for j := range want {
-				g, w := got[j], want[j]
-				if g.Option != w.Option || g.Label() != w.Label() || g.HACost != w.HACost ||
-					g.Uptime != w.Uptime || g.Penalty != w.Penalty || g.TCO != w.TCO ||
-					g.SlippageHours != w.SlippageHours || g.MeetsSLA != w.MeetsSLA {
-					t.Fatalf("req %d (%s): frontier card %d diverges:\n  streaming %+v\n  reference %+v",
-						i, pricing, j, g, w)
-				}
-			}
+		rec = nil // the full card list is only the reference
+		got, err := e.Pareto(context.Background(), req)
+		if err != nil {
+			t.Fatalf("req %d: Pareto: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("req %d: frontier cards diverge:\n  frontier  %+v\n  reference %+v", i, got, want)
 		}
 	}
 }
@@ -109,7 +110,7 @@ func TestRecommendFusedExhaustiveMatchesTwoPass(t *testing.T) {
 }
 
 // TestParetoRejectsInexpressibleAsIs pins parity with Recommend on
-// the as-is plan check: the streaming Pareto never compares against
+// the as-is plan check: Pareto never compares against
 // the incumbent, but a plan naming an unknown technology is still a
 // caller mistake that must error, not be silently ignored.
 func TestParetoRejectsInexpressibleAsIs(t *testing.T) {
@@ -121,8 +122,8 @@ func TestParetoRejectsInexpressibleAsIs(t *testing.T) {
 	}
 }
 
-// TestParetoProgressSinglePass: the streaming Pareto reports progress
-// over the single k^n pricing space, monotonically, to completion.
+// TestParetoProgressSinglePass: Pareto reports progress over the
+// single k^n space, monotonically, to completion.
 func TestParetoProgressSinglePass(t *testing.T) {
 	e := newTestEngine(t)
 	req := CaseStudy()

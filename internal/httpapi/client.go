@@ -120,7 +120,7 @@ func WithSolverConfig(cfg SolverConfigDTO) ClientOption {
 	return func(c *Client) { c.solver = &cfg }
 }
 
-// WithBudget sets a default anytime budget — a wall-clock cap and/or
+// WithBudget sets a default search budget — a wall-clock cap and/or
 // an evaluation cap, zero meaning unlimited — merged into the
 // client's default solver spec. Composes with WithStrategy and
 // WithSolverConfig in any order (later strategy options keep the

@@ -37,10 +37,10 @@ type RecommendationRequest struct {
 	// AllowedTechs optionally restricts per-component HA choices.
 	AllowedTechs map[string][]string `json:"allowed_techs,omitempty"`
 
-	// Strategy optionally names the solver the search runs on — any of
-	// the exact strategies ("exhaustive", "pruned", "branch-and-bound",
-	// "parallel-pruned"), the anytime strategies ("beam", "lds",
-	// "bounded") or "auto" (the default).
+	// Strategy optionally names the solver the search runs on —
+	// "frontier", "exhaustive", "pruned" or "auto" (the default); the
+	// retired names "branch-and-bound", "parallel-pruned", "beam", "lds"
+	// and "bounded" still run frontier.
 	//
 	// Deprecated alias: Strategy is the flat spelling of
 	// Solver.Strategy and remains fully supported — the server folds it
@@ -49,12 +49,12 @@ type RecommendationRequest struct {
 	// rejected.
 	Strategy string `json:"strategy,omitempty"`
 
-	// Solver is the nested solver specification: the strategy plus the
-	// anytime lane's budget and knobs. Absent means "auto with no
-	// limits", exactly the empty flat Strategy. Unknown fields inside
-	// the object are rejected (problem code "invalid_solver") rather
-	// than silently ignored — a mistyped budget knob must not turn an
-	// approximate run into an unbounded one.
+	// Solver is the nested solver specification: the strategy plus its
+	// budget. Absent means "auto with no limits", exactly the empty
+	// flat Strategy. Unknown fields inside the object are rejected
+	// (problem code "invalid_solver") rather than silently ignored — a
+	// mistyped budget knob must not turn a bounded run into an
+	// unbounded one.
 	Solver *SolverConfigDTO `json:"solver,omitempty"`
 
 	// Pricing optionally selects how the full card-pricing pass
@@ -91,37 +91,32 @@ func (r RecommendationRequest) ToBroker() broker.Request {
 // nested "solver" member of a recommendation request. The zero value
 // means "auto with no limits".
 type SolverConfigDTO struct {
-	// Strategy names the solver, one of the exact or anytime
-	// strategies, or "auto"/"" for the heuristic pick.
+	// Strategy names the solver: "exhaustive", "pruned", "frontier",
+	// or "auto"/"" to let the server pick. The retired names
+	// "branch-and-bound", "parallel-pruned", "beam", "lds" and
+	// "bounded" still run, as deprecated aliases of frontier.
 	Strategy string `json:"strategy,omitempty"`
 
 	// BudgetMS caps the search's wall-clock time in milliseconds.
-	// Approximate strategies stop at the deadline and certify what they
-	// have; exact strategies treat it as a hard deadline (the request
-	// fails when it fires). Zero means unlimited.
+	// Frontier stops at the deadline and answers with a certified
+	// incumbent; exhaustive and pruned treat it as a hard deadline (the
+	// request fails when it fires). Zero means unlimited.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 
-	// MaxEvaluations caps how many candidates the search prices. Only
-	// the approximate strategies accept it; an exact strategy cannot
-	// honor a cap and rejects the request. Zero means unlimited.
+	// MaxEvaluations caps the evaluations the search performs. Only
+	// frontier (and auto, which then resolves to it) accepts it;
+	// exhaustive and pruned cannot honor a cap and reject the request.
+	// Zero means unlimited.
 	MaxEvaluations int64 `json:"max_evaluations,omitempty"`
 
-	// BeamWidth is the beam strategy's per-level survivor count
-	// (default 64). Setting it with any other explicit strategy is
-	// rejected.
-	BeamWidth int `json:"beam_width,omitempty"`
-
-	// MaxDiscrepancies is the lds strategy's discrepancy budget
-	// (default 4). Setting it with any other explicit strategy is
-	// rejected.
-	MaxDiscrepancies int `json:"max_discrepancies,omitempty"`
-
-	// Epsilon is the bounded strategy's admissible suboptimality
-	// fraction in [0, 1] (default 0.05): the search may skip subtrees
-	// that cannot beat the incumbent by more than this factor, and the
-	// returned plan is certified within (1+epsilon) of optimal. Setting
-	// it with any other explicit strategy is rejected.
-	Epsilon float64 `json:"epsilon,omitempty"`
+	// BeamWidth, MaxDiscrepancies and Epsilon are the retired anytime
+	// strategies' knobs. Deprecated: they are still accepted and
+	// range-checked (non-negative; epsilon within [0, 1]) so old
+	// clients keep working, then ignored — they change neither the
+	// answer nor the cache address.
+	BeamWidth        int     `json:"beam_width,omitempty"`
+	MaxDiscrepancies int     `json:"max_discrepancies,omitempty"`
+	Epsilon          float64 `json:"epsilon,omitempty"`
 }
 
 // SolverSpecError marks a request-body decode failure located inside
@@ -136,10 +131,11 @@ func (e *SolverSpecError) Error() string { return "solver: " + e.Err.Error() }
 func (e *SolverSpecError) Unwrap() error { return e.Err }
 
 // UnmarshalJSON decodes the solver spec strictly: unknown fields are
-// an error, not a silent drop. Every other wire type tolerates unknown
-// fields for forward compatibility; here a typo ("beamwidth",
-// "budget") would change solve semantics without any signal, so the
-// object is the one place the API is strict.
+// an error, not a silent drop, and so are out-of-range deprecated
+// knobs. Every other wire type tolerates unknown fields for forward
+// compatibility; here a typo ("beamwidth", "budget") would change
+// solve semantics without any signal, so the object is the one place
+// the API is strict.
 func (d *SolverConfigDTO) UnmarshalJSON(data []byte) error {
 	type plain SolverConfigDTO // drop methods to avoid recursing
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -148,11 +144,20 @@ func (d *SolverConfigDTO) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&p); err != nil {
 		return &SolverSpecError{Err: err}
 	}
+	switch {
+	case p.BeamWidth < 0:
+		return &SolverSpecError{Err: fmt.Errorf("negative beam_width %d", p.BeamWidth)}
+	case p.MaxDiscrepancies < 0:
+		return &SolverSpecError{Err: fmt.Errorf("negative max_discrepancies %d", p.MaxDiscrepancies)}
+	case p.Epsilon < 0 || p.Epsilon > 1:
+		return &SolverSpecError{Err: fmt.Errorf("epsilon %v outside [0, 1]", p.Epsilon)}
+	}
 	*d = SolverConfigDTO(p)
 	return nil
 }
 
-// ToOptimize converts the wire spec to the domain spec.
+// ToOptimize converts the wire spec to the domain spec; the deprecated
+// knobs have no domain counterpart.
 func (d SolverConfigDTO) ToOptimize() optimize.SolverConfig {
 	return optimize.SolverConfig{
 		Strategy: d.Strategy,
@@ -160,9 +165,6 @@ func (d SolverConfigDTO) ToOptimize() optimize.SolverConfig {
 			Wall:           time.Duration(d.BudgetMS) * time.Millisecond,
 			MaxEvaluations: d.MaxEvaluations,
 		},
-		BeamWidth:        d.BeamWidth,
-		MaxDiscrepancies: d.MaxDiscrepancies,
-		Epsilon:          d.Epsilon,
 	}
 }
 
@@ -186,8 +188,8 @@ type OptionCardDTO struct {
 }
 
 // SearchStatsDTO is the wire form of the search-effort statistics.
-// Strategy echoes the concrete solver that ran ("auto" requests see
-// what the heuristic resolved to).
+// Strategy echoes the concrete solver that ran ("auto" requests and
+// the retired aliases see what they resolved to).
 type SearchStatsDTO struct {
 	SpaceSize    int    `json:"space_size"`
 	Evaluated    int    `json:"evaluated"`
@@ -196,10 +198,10 @@ type SearchStatsDTO struct {
 	Clipped      int    `json:"clipped,omitempty"`
 	Strategy     string `json:"strategy,omitempty"`
 
-	// Approximate marks a run on one of the anytime strategies (beam,
-	// lds, bounded). The certificate members below are present exactly
-	// when it is true — exact runs omit the whole group, keeping their
-	// wire form byte-identical to pre-anytime responses.
+	// Approximate marks a frontier run that a budget or its state cap
+	// stopped early, answering with a certified incumbent. The
+	// certificate members below are present exactly when it is true —
+	// exact runs omit the whole group.
 	Approximate bool `json:"approximate,omitempty"`
 
 	// BoundUSD is the certified lower bound on any plan's monthly TCO:
@@ -216,8 +218,7 @@ type SearchStatsDTO struct {
 	Optimal *bool `json:"optimal,omitempty"`
 
 	// BudgetExhausted reports whether the run stopped on its
-	// wall-clock or evaluation budget rather than finishing the
-	// strategy's full sweep.
+	// wall-clock or evaluation budget (rather than the state cap).
 	BudgetExhausted *bool `json:"budget_exhausted,omitempty"`
 }
 

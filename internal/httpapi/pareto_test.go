@@ -2,9 +2,17 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+
+	"uptimebroker/internal/broker"
+	"uptimebroker/internal/catalog"
+	"uptimebroker/internal/optimize"
+	"uptimebroker/internal/topology"
 )
 
 func TestParetoEndToEnd(t *testing.T) {
@@ -47,5 +55,73 @@ func TestParetoBadRequests(t *testing.T) {
 	bad.Base.Provider = "ghost"
 	if _, err := client.Pareto(context.Background(), bad); err == nil {
 		t.Fatal("unknown provider should fail")
+	}
+}
+
+// TestParetoWideShapeExactOverHTTP: /v2/pareto answers the symmetric
+// n=30 shape — 2^30 candidates, 16x past the cap Recommend enforces —
+// exactly: n+1 cards, one per clustered count, each matching the
+// closed form (every assignment on a level prices alike, so n+1
+// Evaluate calls give every level's HA cost and uptime).
+func TestParetoWideShapeExactOverHTTP(t *testing.T) {
+	const n = 30
+	ts, client, _ := newTestServer(t)
+	req := RecommendationRequest{
+		Base:              topology.System{Name: "wide", Provider: catalog.ProviderSoftLayerSim},
+		SLAPercent:        optimize.BenchSLAWidePercent,
+		PenaltyPerHourUSD: 200,
+		AllowedTechs:      map[string][]string{},
+	}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("tier-%02d", i)
+		req.Base.Components = append(req.Base.Components, topology.Component{
+			Name: name, Layer: topology.LayerCompute, ActiveNodes: 1, Class: topology.ClassVirtualMachine,
+		})
+		req.AllowedTechs[name] = []string{catalog.TechESXHA}
+	}
+	var front []OptionCardDTO
+	resp := postJSON(t, ts, "/v2/pareto", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v2/pareto: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&front); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Recommend(context.Background(), req); err == nil {
+		t.Fatal("Recommend accepted a 2^30 space; its pricing pass keeps the cap")
+	}
+
+	cat := catalog.Default()
+	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := engine.Compile(req.ToBroker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(front) != n+1 {
+		t.Fatalf("%d frontier cards, want %d", len(front), n+1)
+	}
+	levelStart := 0 // first 0-based option on level m
+	binom := 1      // C(n, m)
+	for m := 0; m <= n; m++ {
+		a := make(optimize.Assignment, n)
+		for j := n - m; j < n; j++ {
+			a[j] = 1
+		}
+		want, err := p.Evaluate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := front[m]
+		if got.Option < levelStart+1 || got.Option > levelStart+binom {
+			t.Fatalf("card %d is option %d, outside level %d's options %d..%d", m, got.Option, m, levelStart+1, levelStart+binom)
+		}
+		if got.HACostUSD != want.TCO.HA.Dollars() || math.Abs(got.UptimePercent-100*want.Uptime) > 1e-9 {
+			t.Fatalf("card %d: $%v at %v%%, closed form $%v at %v%%", m, got.HACostUSD, got.UptimePercent, want.TCO.HA.Dollars(), 100*want.Uptime)
+		}
+		levelStart += binom
+		binom = binom * (n - m) / (m + 1)
 	}
 }

@@ -33,6 +33,7 @@ type serverConfig struct {
 	trustProxy      bool
 	jobTTL          time.Duration
 	jobGC           time.Duration
+	jobClock        func() time.Time
 	jobWorkers      int
 	jobQueue        int
 	jobDir          string
@@ -172,6 +173,13 @@ func WithJobGCInterval(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.jobGC = d }
 }
 
+// WithJobClock sets the time source the job store stamps and expires
+// jobs by (default time.Now), so TTL expiry can be driven without
+// waiting on the wall clock.
+func WithJobClock(now func() time.Time) ServerOption {
+	return func(c *serverConfig) { c.jobClock = now }
+}
+
 // WithJobWorkers sets the async job worker pool size (default
 // runtime.GOMAXPROCS).
 func WithJobWorkers(n int) ServerOption {
@@ -249,6 +257,9 @@ func NewServer(engine *broker.Engine, store *telemetry.Store, logger *log.Logger
 	}
 	if cfg.jobGC > 0 {
 		jobOpts = append(jobOpts, jobs.WithGCInterval(cfg.jobGC))
+	}
+	if cfg.jobClock != nil {
+		jobOpts = append(jobOpts, jobs.WithClock(cfg.jobClock))
 	}
 	if cfg.jobWorkers > 0 {
 		jobOpts = append(jobOpts, jobs.WithWorkers(cfg.jobWorkers))

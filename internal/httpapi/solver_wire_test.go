@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -150,11 +151,12 @@ func TestSolverContradictionRejected(t *testing.T) {
 	}
 }
 
-// TestRecommendAnytimeEndToEnd drives the anytime lane through the
-// full HTTP surface: the nested spec selects the strategy, and the
-// response's search stats carry the certificate — including the
-// explicit optimal/budget_exhausted booleans that omitempty would
-// otherwise swallow.
+// TestRecommendAnytimeEndToEnd drives frontier's budget lane through
+// the full HTTP surface: the retired anytime names answer exactly
+// (frontier, no certificate members), and a budget-stopped run's
+// search stats carry the certificate — including the explicit
+// optimal/budget_exhausted booleans that omitempty would otherwise
+// swallow.
 func TestRecommendAnytimeEndToEnd(t *testing.T) {
 	_, client, _ := newTestServer(t)
 	ctx := context.Background()
@@ -171,37 +173,44 @@ func TestRecommendAnytimeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strategy, err)
 		}
-		if resp.Search.Strategy != strategy || !resp.Search.Approximate {
-			t.Fatalf("%s: search stats %+v", strategy, resp.Search)
+		if resp.Search.Strategy != optimize.StrategyFrontier || resp.Search.Approximate || resp.Search.BoundUSD != nil {
+			t.Fatalf("%s: search stats %+v, want an exact frontier run", strategy, resp.Search)
 		}
-		if resp.Search.BoundUSD == nil || resp.Search.Optimal == nil || resp.Search.BudgetExhausted == nil {
-			t.Fatalf("%s: certificate members missing: %+v", strategy, resp.Search)
-		}
-		if resp.Search.Gap != nil && *resp.Search.Gap < 0 {
-			t.Fatalf("%s: negative gap %v", strategy, *resp.Search.Gap)
-		}
-		// The case-study space is tiny: every anytime strategy closes it
-		// and must agree with the exact recommendation.
 		if resp.BestOption != exact.BestOption {
 			t.Fatalf("%s: best option %d, exact %d", strategy, resp.BestOption, exact.BestOption)
 		}
-		if *resp.Search.Optimal {
-			if resp.Search.Gap == nil || *resp.Search.Gap != 0 {
-				t.Fatalf("%s: optimal with gap %v", strategy, resp.Search.Gap)
-			}
-		}
+	}
+
+	req := caseStudyWire()
+	req.Solver = &SolverConfigDTO{Strategy: optimize.StrategyFrontier, MaxEvaluations: 1}
+	resp, err := client.Recommend(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Search.Strategy != optimize.StrategyFrontier || !resp.Search.Approximate {
+		t.Fatalf("budget-stopped run: search stats %+v", resp.Search)
+	}
+	if resp.Search.BoundUSD == nil || resp.Search.Optimal == nil || resp.Search.BudgetExhausted == nil || !*resp.Search.BudgetExhausted {
+		t.Fatalf("certificate members missing: %+v", resp.Search)
+	}
+	if resp.Search.Gap != nil && *resp.Search.Gap < 0 {
+		t.Fatalf("negative gap %v", *resp.Search.Gap)
+	}
+	if *resp.Search.Optimal && (resp.Search.Gap == nil || *resp.Search.Gap != 0) {
+		t.Fatalf("optimal with gap %v", resp.Search.Gap)
 	}
 }
 
 // TestJobCarriesSolverSpec: a nested spec rides through the async
-// surface — the journaled request, the progress stream and the final
-// result all see the anytime strategy.
+// surface — the journaled request (deprecated knob included), the
+// progress stream and the final result all see the frontier run its
+// budget stopped.
 func TestJobCarriesSolverSpec(t *testing.T) {
 	_, client, _ := newTestServer(t)
 	ctx := context.Background()
 
 	req := caseStudyWire()
-	req.Solver = &SolverConfigDTO{Strategy: optimize.StrategyBeam, BeamWidth: 16}
+	req.Solver = &SolverConfigDTO{Strategy: optimize.StrategyBeam, BeamWidth: 16, MaxEvaluations: 1}
 	job, err := client.SubmitJob(ctx, JobKindRecommend, req)
 	if err != nil {
 		t.Fatal(err)
@@ -213,12 +222,16 @@ func TestJobCarriesSolverSpec(t *testing.T) {
 	if status.State != "done" {
 		t.Fatalf("job finished as %s (%+v)", status.State, status.Error)
 	}
+	if status.Progress == nil || status.Progress.Strategy != optimize.StrategyFrontier {
+		t.Fatalf("job progress = %+v, want strategy frontier", status.Progress)
+	}
 	rec, err := status.Recommendation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Search.Strategy != optimize.StrategyBeam || !rec.Search.Approximate {
-		t.Fatalf("job result search stats %+v, want an approximate beam run", rec.Search)
+	if rec.Search.Strategy != optimize.StrategyFrontier || !rec.Search.Approximate ||
+		rec.Search.BudgetExhausted == nil || !*rec.Search.BudgetExhausted {
+		t.Fatalf("job result search stats %+v, want a budget-stopped frontier run", rec.Search)
 	}
 }
 
@@ -228,7 +241,7 @@ func TestJobCarriesSolverSpec(t *testing.T) {
 func TestClientSolverOptions(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	client, err := NewClient(ts.URL, ts.Client(),
-		WithStrategy(optimize.StrategyBeam),
+		WithStrategy(optimize.StrategyFrontier),
 		WithBudget(time.Minute, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +252,7 @@ func TestClientSolverOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Search.Strategy != optimize.StrategyBeam || !resp.Search.Approximate {
+	if resp.Search.Strategy != optimize.StrategyFrontier || resp.Search.Approximate {
 		t.Fatalf("client solver default not applied: %+v", resp.Search)
 	}
 
@@ -256,12 +269,78 @@ func TestClientSolverOptions(t *testing.T) {
 	}
 
 	nested := caseStudyWire()
-	nested.Solver = &SolverConfigDTO{Strategy: optimize.StrategyLDS}
+	nested.Solver = &SolverConfigDTO{Strategy: optimize.StrategyExhaustive}
 	resp, err = client.Recommend(ctx, nested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Search.Strategy != optimize.StrategyLDS {
+	if resp.Search.Strategy != optimize.StrategyExhaustive {
 		t.Fatalf("per-request nested strategy lost to the client default: %+v", resp.Search)
+	}
+}
+
+// TestRetiredStrategiesAnswerCaseStudy: every retired strategy name,
+// in both spellings, still answers the paper's case study — option #3
+// best, #5 min-risk, ≈62% savings — by running frontier.
+func TestRetiredStrategiesAnswerCaseStudy(t *testing.T) {
+	_, client, _ := newTestServer(t)
+	ctx := context.Background()
+	for _, name := range []string{
+		optimize.StrategyBranchAndBound, optimize.StrategyParallelPruned,
+		optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded,
+	} {
+		flat := caseStudyWire()
+		flat.Strategy = name
+		nested := caseStudyWire()
+		nested.Solver = &SolverConfigDTO{Strategy: name}
+		for _, req := range []RecommendationRequest{flat, nested} {
+			resp, err := client.Recommend(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if resp.BestOption != 3 || resp.MinRiskOption != 5 || math.Abs(resp.SavingsPercent-62) > 2 {
+				t.Fatalf("%s: best #%d, min-risk #%d, savings %.1f%%; want #3, #5, ~62%%",
+					name, resp.BestOption, resp.MinRiskOption, resp.SavingsPercent)
+			}
+			if resp.Search.Strategy != optimize.StrategyFrontier {
+				t.Fatalf("%s echoed as %q, want frontier", name, resp.Search.Strategy)
+			}
+		}
+	}
+}
+
+// TestDeprecatedKnobsRangeCheckedAndIgnored: beam_width,
+// max_discrepancies and epsilon are still accepted, range-checked (an
+// out-of-range value is a 400 invalid_solver) and then ignored — a
+// request setting them shares its cache address with one that omits
+// them.
+func TestDeprecatedKnobsRangeCheckedAndIgnored(t *testing.T) {
+	ts, _, _ := newCachedTestServer(t)
+	plain := caseStudyWire()
+	plain.Solver = &SolverConfigDTO{Strategy: optimize.StrategyFrontier}
+	knobbed := caseStudyWire()
+	knobbed.Solver = &SolverConfigDTO{Strategy: optimize.StrategyFrontier, BeamWidth: 8, MaxDiscrepancies: 2, Epsilon: 0.25}
+	if got := postJSON(t, ts, "/v2/recommendations", knobbed).Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("first knobbed request X-Cache = %q, want miss", got)
+	}
+	if got := postJSON(t, ts, "/v2/recommendations", plain).Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("knob-free request X-Cache = %q, want hit: the knobs must not move the cache address", got)
+	}
+
+	for _, bad := range []string{`{"beam_width": -1}`, `{"max_discrepancies": -3}`, `{"epsilon": 1.5}`, `{"epsilon": -0.1}`} {
+		body := `{"base": {"name": "x", "provider": "softlayer-sim", "components": []}, "sla_percent": 98, "solver": ` + bad + `}`
+		resp, err := ts.Client().Post(ts.URL+"/v2/recommendations", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prob Problem
+		err = json.NewDecoder(resp.Body).Decode(&prob)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || prob.Code != CodeInvalidSolver {
+			t.Fatalf("%s: %d/%s, want 400/%s", bad, resp.StatusCode, prob.Code, CodeInvalidSolver)
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"uptimebroker/internal/optimize"
 )
 
-// TestStrategySelectableEndToEnd drives every registered strategy
-// through the wire request field and checks the response both echoes
-// the concrete solver and recommends the same option — strategy is a
+// TestStrategySelectableEndToEnd drives every strategy name through
+// the wire request field and checks the response both echoes the
+// concrete solver and recommends the same option — strategy is a
 // performance knob, never a correctness one.
 func TestStrategySelectableEndToEnd(t *testing.T) {
 	_, client, _ := newTestServer(t)
@@ -24,14 +24,18 @@ func TestStrategySelectableEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The case study's auto default is the paper's pruned search.
-	if base.Search.Strategy != optimize.StrategyPruned {
-		t.Fatalf("default strategy echoed %q, want pruned", base.Search.Strategy)
+	// On the case study's eight options auto fuses exhaustive into the
+	// card-pricing pass.
+	if base.Search.Strategy != optimize.StrategyExhaustive {
+		t.Fatalf("default strategy echoed %q, want exhaustive", base.Search.Strategy)
 	}
 
-	for _, strategy := range []string{
-		optimize.StrategyExhaustive, optimize.StrategyPruned,
-		optimize.StrategyBranchAndBound, optimize.StrategyParallelPruned,
+	for strategy, echo := range map[string]string{
+		optimize.StrategyExhaustive:     optimize.StrategyExhaustive,
+		optimize.StrategyPruned:         optimize.StrategyPruned,
+		optimize.StrategyFrontier:       optimize.StrategyFrontier,
+		optimize.StrategyBranchAndBound: optimize.StrategyFrontier,
+		optimize.StrategyParallelPruned: optimize.StrategyFrontier,
 	} {
 		req := caseStudyWire()
 		req.Strategy = strategy
@@ -39,8 +43,8 @@ func TestStrategySelectableEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recommend(%s): %v", strategy, err)
 		}
-		if resp.Search.Strategy != strategy {
-			t.Fatalf("strategy %q echoed as %q", strategy, resp.Search.Strategy)
+		if resp.Search.Strategy != echo {
+			t.Fatalf("strategy %q echoed as %q, want %q", strategy, resp.Search.Strategy, echo)
 		}
 		if resp.BestOption != base.BestOption || resp.MinRiskOption != base.MinRiskOption {
 			t.Fatalf("strategy %q changed the recommendation: best %d vs %d",
@@ -73,8 +77,9 @@ func TestStrategyUnknownRejected(t *testing.T) {
 }
 
 // TestJobEchoesStrategy: a job submitted with an explicit strategy
-// reports it in the job document's progress block and in the result's
-// search stats.
+// reports the strategy that ran — frontier, for the retired
+// branch-and-bound name — in the job document's progress block and in
+// the result's search stats.
 func TestJobEchoesStrategy(t *testing.T) {
 	_, client, _ := newTestServer(t)
 	ctx := context.Background()
@@ -92,15 +97,15 @@ func TestJobEchoesStrategy(t *testing.T) {
 	if status.State != "done" {
 		t.Fatalf("job finished as %s (%+v)", status.State, status.Error)
 	}
-	if status.Progress == nil || status.Progress.Strategy != optimize.StrategyBranchAndBound {
-		t.Fatalf("job progress = %+v, want strategy branch-and-bound", status.Progress)
+	if status.Progress == nil || status.Progress.Strategy != optimize.StrategyFrontier {
+		t.Fatalf("job progress = %+v, want strategy frontier", status.Progress)
 	}
 	rec, err := status.Recommendation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Search.Strategy != optimize.StrategyBranchAndBound {
-		t.Fatalf("result search strategy = %q, want branch-and-bound", rec.Search.Strategy)
+	if rec.Search.Strategy != optimize.StrategyFrontier {
+		t.Fatalf("result search strategy = %q, want frontier", rec.Search.Strategy)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,10 +312,23 @@ func TestJobListAndMetrics(t *testing.T) {
 	}
 }
 
+// TestJobTTLExpiry: a finished job outlives its TTL only on the job
+// store's clock. The clock is frozen until WaitJob has fetched the
+// result, so the 10ms sweep cannot race that final fetch; advancing it
+// past the TTL lets the next sweep remove the job, and the route then
+// answers 404.
 func TestJobTTLExpiry(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
 	_, client, _ := newTestServer(t,
 		WithJobTTL(10*time.Millisecond),
 		WithJobGCInterval(10*time.Millisecond),
+		WithJobClock(clock),
 	)
 	ctx := context.Background()
 
@@ -326,6 +340,9 @@ func TestJobTTLExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	mu.Lock()
+	now = now.Add(time.Hour)
+	mu.Unlock()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, err := client.GetJob(ctx, job.ID)

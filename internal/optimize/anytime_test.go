@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -12,9 +13,14 @@ import (
 	"uptimebroker/internal/cost"
 )
 
-// randomWideProblem is randomProblem stretched to the widths the
-// anytime lane is for: up to 12 components (arity capped so the
-// exhaustive oracle stays fast enough to run hundreds of trials).
+// The budget, cancellation, progress and certificate contract of the
+// frontier strategy: a run that a budget or the state cap stops early
+// answers with Greedy's incumbent certified against the root
+// relaxation bound; a run that completes is exact.
+
+// randomWideProblem is randomProblem stretched to up to 12 components
+// (arity capped so the exhaustive oracle stays fast enough to run
+// hundreds of trials).
 func randomWideProblem(rng *rand.Rand) *Problem {
 	n := 2 + rng.Intn(11)
 	comps := make([]ComponentChoices, n)
@@ -53,31 +59,24 @@ func randomWideProblem(rng *rand.Rand) *Problem {
 	}
 }
 
-// anytimeConfigs are the configurations the soundness sweep runs each
-// trial through: defaults plus deliberately starved knobs, because the
-// certificate must stay sound no matter how little of the space a
-// search managed to see.
-func anytimeConfigs() []SolverConfig {
-	return []SolverConfig{
-		{Strategy: StrategyBeam},
-		{Strategy: StrategyBeam, BeamWidth: 1},
-		{Strategy: StrategyBeam, Budget: Budget{MaxEvaluations: 3}},
-		{Strategy: StrategyLDS},
-		{Strategy: StrategyLDS, MaxDiscrepancies: 1},
-		{Strategy: StrategyLDS, Budget: Budget{MaxEvaluations: 5}},
-		{Strategy: StrategyBounded},
-		{Strategy: StrategyBounded, Epsilon: 0.3},
-		{Strategy: StrategyBounded, Budget: Budget{MaxEvaluations: 2}},
+// starvedBudgets are the budgets the soundness sweep runs each trial
+// under: the certificate must stay sound no matter how early the DP
+// stopped.
+func starvedBudgets() []Budget {
+	return []Budget{
+		{MaxEvaluations: 1},
+		{MaxEvaluations: 3},
+		{MaxEvaluations: 50},
+		{Wall: time.Nanosecond},
 	}
 }
 
-// TestAnytimeGapSoundnessVsOracle is the acceptance property the exact
-// solvers pin for the approximate lane: on randomized instances up to
-// n=12, every approximate strategy's reported bound never exceeds the
-// true optimum (from the from-scratch exhaustive oracle), its
-// incumbent is a real candidate priced correctly and never better than
-// the optimum, the reported gap matches its definition, and a claimed
-// Optimal really is the optimum.
+// TestAnytimeGapSoundnessVsOracle: on randomized instances up to n=12,
+// a budget-stopped frontier run's bound never exceeds the true optimum
+// (from the from-scratch exhaustive oracle), its incumbent is a real
+// candidate priced correctly and never better than the optimum, the
+// reported gap matches its definition, and a claimed Optimal really is
+// the optimum. Runs the budget did not stop are exact.
 func TestAnytimeGapSoundnessVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for trial := 0; trial < 150; trial++ {
@@ -87,63 +86,65 @@ func TestAnytimeGapSoundnessVsOracle(t *testing.T) {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
 		opt := ref.Best.TCO.Total()
-		for _, cfg := range anytimeConfigs() {
-			res, err := SolveConfig(context.Background(), p, cfg)
+		for _, b := range starvedBudgets() {
+			res, err := SolveConfig(context.Background(), p, SolverConfig{Strategy: StrategyFrontier, Budget: b})
 			if err != nil {
-				t.Fatalf("trial %d: %+v: %v", trial, cfg, err)
+				t.Fatalf("trial %d: %+v: %v", trial, b, err)
 			}
-			if !res.Approximate {
-				t.Fatalf("trial %d: %s result not marked Approximate", trial, cfg.Strategy)
-			}
-			if res.Strategy != cfg.Strategy {
-				t.Fatalf("trial %d: stamped strategy %q, want %q", trial, res.Strategy, cfg.Strategy)
-			}
-			if res.Evaluated < 1 {
-				t.Fatalf("trial %d: %s evaluated nothing", trial, cfg.Strategy)
-			}
-			if res.Bound > opt {
-				t.Fatalf("trial %d: %s bound %v exceeds true optimum %v (cfg %+v)",
-					trial, cfg.Strategy, res.Bound, opt, cfg)
+			if res.Strategy != StrategyFrontier {
+				t.Fatalf("trial %d: stamped strategy %q", trial, res.Strategy)
 			}
 			inc := res.Best.TCO.Total()
+			if !res.Approximate {
+				if res.BudgetExhausted || inc != opt || !equalAssignments(res.Best.Assignment, ref.Best.Assignment) {
+					t.Fatalf("trial %d: %+v: uncertified run is not the exact optimum: %+v", trial, b, res)
+				}
+				continue
+			}
+			if !res.BudgetExhausted {
+				t.Fatalf("trial %d: %+v: approximate run not marked budget-exhausted", trial, b)
+			}
+			if res.Bound > opt {
+				t.Fatalf("trial %d: %+v: bound %v exceeds true optimum %v", trial, b, res.Bound, opt)
+			}
 			if inc < opt {
-				t.Fatalf("trial %d: %s incumbent %v beats the optimum %v", trial, cfg.Strategy, inc, opt)
+				t.Fatalf("trial %d: incumbent %v beats the optimum %v", trial, inc, opt)
 			}
 			check, err := p.Evaluate(res.Best.Assignment)
 			if err != nil {
-				t.Fatalf("trial %d: %s incumbent does not evaluate: %v", trial, cfg.Strategy, err)
+				t.Fatalf("trial %d: incumbent does not evaluate: %v", trial, err)
 			}
 			if check.TCO != res.Best.TCO || check.Uptime != res.Best.Uptime {
-				t.Fatalf("trial %d: %s incumbent mispriced: %+v vs %+v", trial, cfg.Strategy, res.Best.TCO, check.TCO)
+				t.Fatalf("trial %d: incumbent mispriced: %+v vs %+v", trial, res.Best.TCO, check.TCO)
 			}
 			switch {
 			case math.IsInf(res.Gap, 1):
 				if res.Bound != 0 || inc == 0 {
-					t.Fatalf("trial %d: %s infinite gap with bound %v incumbent %v", trial, cfg.Strategy, res.Bound, inc)
+					t.Fatalf("trial %d: infinite gap with bound %v incumbent %v", trial, res.Bound, inc)
 				}
 			case res.Bound > 0:
 				want := float64(inc-res.Bound) / float64(res.Bound)
 				if math.Abs(res.Gap-want) > 1e-12 {
-					t.Fatalf("trial %d: %s gap %v, want %v", trial, cfg.Strategy, res.Gap, want)
+					t.Fatalf("trial %d: gap %v, want %v", trial, res.Gap, want)
 				}
 			default:
 				if res.Gap != 0 || inc != 0 {
-					t.Fatalf("trial %d: %s zero bound with gap %v incumbent %v", trial, cfg.Strategy, res.Gap, inc)
+					t.Fatalf("trial %d: zero bound with gap %v incumbent %v", trial, res.Gap, inc)
 				}
 			}
 			if res.Optimal && inc != opt {
-				t.Fatalf("trial %d: %s claims optimal at %v but the optimum is %v", trial, cfg.Strategy, inc, opt)
+				t.Fatalf("trial %d: claims optimal at %v but the optimum is %v", trial, inc, opt)
 			}
 			if res.NoPenaltyFound && !res.BestNoPenalty.MeetsSLA(p.SLA) {
-				t.Fatalf("trial %d: %s no-penalty incumbent misses the SLA", trial, cfg.Strategy)
+				t.Fatalf("trial %d: no-penalty incumbent misses the SLA", trial)
 			}
 		}
 	}
 }
 
-// TestBoundedCertificateOnCompletion pins the ε-clip's promise: a
-// bounded run that finished under no budget has an incumbent within a
-// (1+ε) factor of the true optimum, and its certified gap says so.
+// TestBoundedCertificateOnCompletion: the retired bounded name runs
+// frontier, so a run no budget stopped needs no certificate at all —
+// it is the exact optimum, reported uncertified.
 func TestBoundedCertificateOnCompletion(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 120; trial++ {
@@ -152,36 +153,22 @@ func TestBoundedCertificateOnCompletion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eps := range []float64{0.01, 0.05, 0.5} {
-			res, err := SolveConfig(context.Background(), p, SolverConfig{Strategy: StrategyBounded, Epsilon: eps})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.BudgetExhausted {
-				t.Fatalf("trial %d: exhausted without a budget", trial)
-			}
-			inc := float64(res.Best.TCO.Total())
-			opt := float64(ref.Best.TCO.Total())
-			if inc > opt*(1+eps)+1 { // +1 micro-dollar for integer rounding
-				t.Fatalf("trial %d: eps=%v incumbent %v outside (1+eps) of optimum %v", trial, eps, inc, opt)
-			}
-			if !math.IsInf(res.Gap, 1) && res.Gap > eps+1e-9 && res.Bound > 0 {
-				// The completed-run certificate is max(root, inc/(1+eps)),
-				// so the reported gap can never exceed eps (up to integer
-				// truncation of the bound).
-				want := float64(inc)/(1+eps) - 1
-				if float64(res.Bound) < want {
-					t.Fatalf("trial %d: eps=%v gap %v > eps with bound %v below inc/(1+eps)",
-						trial, eps, res.Gap, res.Bound)
-				}
-			}
+		res, err := Solve(context.Background(), p, StrategyBounded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Approximate || res.BudgetExhausted || res.Bound != 0 || res.Gap != 0 {
+			t.Fatalf("trial %d: completed run carries a certificate: %+v", trial, res)
+		}
+		if res.Best.TCO.Total() != ref.Best.TCO.Total() {
+			t.Fatalf("trial %d: incumbent %v, optimum %v", trial, res.Best.TCO.Total(), ref.Best.TCO.Total())
 		}
 	}
 }
 
-// TestAnytimeCompleteRunsAreExact checks the completeness fast-paths:
-// a beam wide enough to never drop a member, and a discrepancy budget
-// covering every deviation, both certify gap 0 on the exact optimum.
+// TestAnytimeCompleteRunsAreExact: every retired anytime name, run
+// without a budget, returns exhaustive's Best and BestNoPenalty
+// assignments and echoes frontier.
 func TestAnytimeCompleteRunsAreExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
@@ -190,113 +177,136 @@ func TestAnytimeCompleteRunsAreExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		space := p.SpaceSize()
-		maxWeight := 0
-		for _, comp := range p.Components {
-			maxWeight += len(comp.Variants) - 1
-		}
-		for _, cfg := range []SolverConfig{
-			{Strategy: StrategyBeam, BeamWidth: space},
-			{Strategy: StrategyLDS, MaxDiscrepancies: maxWeight},
-		} {
-			res, err := SolveConfig(context.Background(), p, cfg)
+		for _, strat := range []string{StrategyBeam, StrategyLDS, StrategyBounded} {
+			res, err := Solve(context.Background(), p, strat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Optimal || res.Gap != 0 {
-				t.Fatalf("trial %d: %s complete run not optimal (gap %v)", trial, cfg.Strategy, res.Gap)
+			if res.Strategy != StrategyFrontier || res.Approximate {
+				t.Fatalf("trial %d: %s ran %q (approximate %v)", trial, strat, res.Strategy, res.Approximate)
 			}
-			if res.Best.TCO.Total() != ref.Best.TCO.Total() {
-				t.Fatalf("trial %d: %s complete run found %v, optimum %v",
-					trial, cfg.Strategy, res.Best.TCO.Total(), ref.Best.TCO.Total())
+			if !equalAssignments(res.Best.Assignment, ref.Best.Assignment) {
+				t.Fatalf("trial %d: %s found %v, optimum %v", trial, strat, res.Best.Assignment, ref.Best.Assignment)
+			}
+			if ref.NoPenaltyFound && !equalAssignments(res.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment) {
+				t.Fatalf("trial %d: %s min-risk %v, exhaustive %v", trial, strat, res.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment)
 			}
 		}
 	}
 }
 
 // TestAnytimeBudgets exercises both budget kinds on the n=19 bench
-// shape: a one-evaluation cap still yields an incumbent with a sound
-// certificate, and a zero-headroom wall budget stops the search
-// quickly rather than erroring.
+// shape: a one-evaluation cap and a zero-headroom wall budget each stop
+// the DP, and the answer is Greedy's incumbent with a sound
+// certificate.
 func TestAnytimeBudgets(t *testing.T) {
 	p := BenchProblem(19, BenchSLAPercent)
-	for _, strat := range []string{StrategyBeam, StrategyLDS, StrategyBounded} {
-		res, err := SolveConfig(context.Background(), p, SolverConfig{
-			Strategy: strat,
-			Budget:   Budget{MaxEvaluations: 1},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if !res.BudgetExhausted {
-			t.Fatalf("%s: one-evaluation budget not reported exhausted", strat)
-		}
-		if res.Evaluated != 1 {
-			t.Fatalf("%s: evaluated %d under a one-evaluation budget", strat, res.Evaluated)
-		}
-		if res.Best.Assignment == nil {
-			t.Fatalf("%s: no incumbent under a one-evaluation budget", strat)
-		}
-
+	greedy, err := p.Greedy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Budget{{MaxEvaluations: 1}, {Wall: time.Nanosecond}} {
 		start := time.Now()
-		res, err = SolveConfig(context.Background(), p, SolverConfig{
-			Strategy: strat,
-			Budget:   Budget{Wall: time.Nanosecond},
-		})
+		res, err := SolveConfig(context.Background(), p, SolverConfig{Strategy: StrategyFrontier, Budget: b})
 		if err != nil {
-			t.Fatalf("%s wall: %v", strat, err)
+			t.Fatalf("%+v: %v", b, err)
 		}
-		if !res.BudgetExhausted {
-			t.Fatalf("%s: nanosecond wall budget not reported exhausted", strat)
+		if !res.BudgetExhausted || !res.Approximate {
+			t.Fatalf("%+v: budget not reported exhausted: %+v", b, res)
+		}
+		if !equalAssignments(res.Best.Assignment, greedy.Best.Assignment) {
+			t.Fatalf("%+v: incumbent %v, greedy %v", b, res.Best.Assignment, greedy.Best.Assignment)
+		}
+		if res.Bound <= 0 || res.Bound > res.Best.TCO.Total() {
+			t.Fatalf("%+v: bound %v against incumbent %v", b, res.Bound, res.Best.TCO.Total())
+		}
+		if res.Evaluated+res.Skipped != p.SpaceSize() {
+			t.Fatalf("%+v: accounting %d+%d, space %d", b, res.Evaluated, res.Skipped, p.SpaceSize())
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("%s: wall-budgeted run took %v", strat, elapsed)
+			t.Fatalf("%+v: budgeted run took %v", b, elapsed)
 		}
 	}
 }
 
-// TestAnytimeCancellation: a cancelled context aborts all three
-// searches with the context's error.
+// TestFrontierStateCap: a level that outgrows the state cap stops the
+// DP like a budget does, but the certificate says no budget fired —
+// and ParetoContext, which has no incumbent to fall back on, refuses.
+func TestFrontierStateCap(t *testing.T) {
+	defer func(was int) { maxFrontierStates = was }(maxFrontierStates)
+	maxFrontierStates = 2
+	p := BenchProblem(12, BenchSLAPercent)
+	res, err := Solve(context.Background(), p, StrategyFrontier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Approximate || res.BudgetExhausted {
+		t.Fatalf("capped run: approximate %v, budget exhausted %v", res.Approximate, res.BudgetExhausted)
+	}
+	if _, err := p.ParetoContext(context.Background()); !errors.Is(err, errFrontierStateCap) {
+		t.Fatalf("capped ParetoContext = %v, want errFrontierStateCap", err)
+	}
+}
+
+// TestAnytimeCancellation: a cancelled context aborts frontier and
+// every retired name with the context's error.
 func TestAnytimeCancellation(t *testing.T) {
 	p := BenchProblem(19, BenchSLAPercent)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, strat := range []string{StrategyBeam, StrategyLDS, StrategyBounded} {
-		if _, err := SolveConfig(ctx, p, SolverConfig{Strategy: strat}); err == nil {
-			t.Fatalf("%s: cancelled context did not abort", strat)
+	for _, strat := range []string{StrategyFrontier, StrategyBeam, StrategyLDS, StrategyBounded} {
+		if _, err := SolveConfig(ctx, p, SolverConfig{Strategy: strat}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled context returned %v", strat, err)
 		}
+	}
+	if _, err := p.ParetoContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ParetoContext on a cancelled context returned %v", err)
 	}
 }
 
-// TestAnytimeProgressAndStrategyHooks: the approximate strategies
-// report through the same context hooks as the exact lane.
+// TestAnytimeProgressAndStrategyHooks: frontier reports through the
+// same context hooks as the enumerating strategies — a monotone count
+// over the k^n space that ends at the space size — with or without a
+// budget stopping it, and the strategy hook hears frontier even when a
+// retired name asked for it.
 func TestAnytimeProgressAndStrategyHooks(t *testing.T) {
 	p := BenchProblem(12, BenchSLAPercent)
-	for _, strat := range []string{StrategyBeam, StrategyLDS, StrategyBounded} {
-		var reports int
+	space := int64(p.SpaceSize())
+	for _, cfg := range []SolverConfig{
+		{Strategy: StrategyFrontier},
+		{Strategy: StrategyBeam},
+		{Strategy: StrategyFrontier, Budget: Budget{MaxEvaluations: 40}},
+	} {
+		var reports []int64
 		var heard string
-		ctx := WithProgress(context.Background(), func(evaluated, space int64) {
-			reports++
-			if space != int64(p.SpaceSize()) {
-				t.Fatalf("%s: progress space %d, want %d", strat, space, p.SpaceSize())
+		ctx := WithProgress(context.Background(), func(evaluated, s int64) {
+			if s != space {
+				t.Fatalf("%+v: progress space %d, want %d", cfg, s, space)
 			}
+			reports = append(reports, evaluated)
 		})
 		ctx = WithStrategyReport(ctx, func(s string) { heard = s })
-		if _, err := SolveConfig(ctx, p, SolverConfig{Strategy: strat}); err != nil {
-			t.Fatalf("%s: %v", strat, err)
+		if _, err := SolveConfig(ctx, p, cfg); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
 		}
-		if reports == 0 {
-			t.Fatalf("%s: no progress reports", strat)
+		if len(reports) == 0 || reports[len(reports)-1] != space {
+			t.Fatalf("%+v: progress %v, want it to end at %d", cfg, reports, space)
 		}
-		if heard != strat {
-			t.Fatalf("%s: strategy hook heard %q", strat, heard)
+		for i := 1; i < len(reports); i++ {
+			if reports[i] < reports[i-1] {
+				t.Fatalf("%+v: progress went backwards: %v", cfg, reports)
+			}
+		}
+		if heard != StrategyFrontier {
+			t.Fatalf("%+v: strategy hook heard %q", cfg, heard)
 		}
 	}
 }
 
-// TestSolverConfigValidation covers the redesigned config surface:
-// range checks, knob/strategy contradictions, and the exact lane's
-// refusal of an evaluation cap.
+// TestSolverConfigValidation covers the config surface: unknown
+// strategies and negative budgets are refused, retired names validate,
+// and an enumerating strategy refuses an evaluation cap it cannot
+// honor.
 func TestSolverConfigValidation(t *testing.T) {
 	bad := []struct {
 		cfg  SolverConfig
@@ -305,13 +315,6 @@ func TestSolverConfigValidation(t *testing.T) {
 		{SolverConfig{Strategy: "no-such"}, "unknown strategy"},
 		{SolverConfig{Budget: Budget{Wall: -time.Second}}, "negative wall"},
 		{SolverConfig{Budget: Budget{MaxEvaluations: -1}}, "negative evaluation"},
-		{SolverConfig{Strategy: StrategyBeam, BeamWidth: -1}, "negative beam width"},
-		{SolverConfig{Strategy: StrategyLDS, MaxDiscrepancies: -2}, "negative discrepancy"},
-		{SolverConfig{Strategy: StrategyBounded, Epsilon: -0.1}, "epsilon"},
-		{SolverConfig{Strategy: StrategyBounded, Epsilon: 1.5}, "epsilon"},
-		{SolverConfig{Strategy: StrategyLDS, BeamWidth: 8}, "beam width set"},
-		{SolverConfig{Strategy: StrategyPruned, Epsilon: 0.1}, "epsilon set"},
-		{SolverConfig{Strategy: StrategyBeam, MaxDiscrepancies: 2}, "discrepancy budget set"},
 	}
 	for _, tc := range bad {
 		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -320,10 +323,9 @@ func TestSolverConfigValidation(t *testing.T) {
 	}
 	good := []SolverConfig{
 		{},
-		{Strategy: StrategyAuto, BeamWidth: 8},
-		{BeamWidth: 8},
-		{Strategy: StrategyBeam, BeamWidth: 8, Budget: Budget{Wall: time.Second, MaxEvaluations: 10}},
-		{Strategy: StrategyBounded, Epsilon: 0.05},
+		{Strategy: StrategyFrontier, Budget: Budget{Wall: time.Second, MaxEvaluations: 10}},
+		{Strategy: StrategyBeam},
+		{Strategy: StrategyParallelPruned},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -332,41 +334,39 @@ func TestSolverConfigValidation(t *testing.T) {
 	}
 
 	p := sampleProblem()
-	if _, err := SolveConfig(context.Background(), p, SolverConfig{
-		Strategy: StrategyPruned,
-		Budget:   Budget{MaxEvaluations: 10},
-	}); err == nil || !strings.Contains(err.Error(), "cannot honor max_evaluations") {
-		t.Fatalf("exact strategy with evaluation cap = %v, want refusal", err)
+	for _, strat := range []string{StrategyPruned, StrategyExhaustive} {
+		if _, err := SolveConfig(context.Background(), p, SolverConfig{
+			Strategy: strat,
+			Budget:   Budget{MaxEvaluations: 10},
+		}); err == nil || !strings.Contains(err.Error(), "cannot honor max_evaluations") {
+			t.Fatalf("%s with an evaluation cap = %v, want refusal", strat, err)
+		}
 	}
 }
 
-// TestResolveConfigRouting pins the budget- and width-aware auto
-// heuristic: spaces past MaxCandidates route to the approximate lane
-// (beam when the SLA is attainable, bounded when it is not), a binding
-// evaluation cap does the same, explicit knobs express intent, and
-// small unconstrained spaces keep the exact-lane rules.
+// TestResolveConfigRouting pins auto: exhaustive up to
+// autoExhaustiveSpace candidates without an evaluation cap, frontier
+// otherwise; retired names resolve to frontier and explicit names
+// echo.
 func TestResolveConfigRouting(t *testing.T) {
 	wide := BenchProblem(BenchWideN, BenchSLAWidePercent)
-	if wide.SpaceSize() <= MaxCandidates {
-		t.Fatalf("bench wide shape fits the exact lane (space %d)", wide.SpaceSize())
-	}
-	wideUnattainable := BenchProblem(BenchWideN, 99.99)
-	small := BenchProblem(10, BenchSLAPercent)
+	small := BenchProblem(10, BenchSLAPercent) // exactly autoExhaustiveSpace
+	mid := BenchProblem(11, BenchSLAPercent)
 
 	cases := []struct {
 		p    *Problem
 		cfg  SolverConfig
 		want string
 	}{
-		{wide, SolverConfig{}, StrategyBeam},
-		{wideUnattainable, SolverConfig{}, StrategyBounded},
-		{small, SolverConfig{Budget: Budget{MaxEvaluations: 16}}, StrategyBeam},
-		{small, SolverConfig{BeamWidth: 4}, StrategyBeam},
-		{small, SolverConfig{MaxDiscrepancies: 2}, StrategyLDS},
-		{small, SolverConfig{Epsilon: 0.1}, StrategyBounded},
-		{small, SolverConfig{}, StrategyPruned},
-		{small, SolverConfig{Strategy: StrategyExhaustive}, StrategyExhaustive},
-		{small, SolverConfig{Budget: Budget{MaxEvaluations: 1 << 20}}, StrategyPruned},
+		{wide, SolverConfig{}, StrategyFrontier},
+		{small, SolverConfig{}, StrategyExhaustive},
+		{small, SolverConfig{Budget: Budget{Wall: time.Second}}, StrategyExhaustive},
+		{small, SolverConfig{Budget: Budget{MaxEvaluations: 1 << 20}}, StrategyFrontier},
+		{mid, SolverConfig{}, StrategyFrontier},
+		{small, SolverConfig{Strategy: StrategyPruned}, StrategyPruned},
+		{mid, SolverConfig{Strategy: StrategyExhaustive}, StrategyExhaustive},
+		{small, SolverConfig{Strategy: StrategyBeam}, StrategyFrontier},
+		{small, SolverConfig{Strategy: StrategyBranchAndBound}, StrategyFrontier},
 	}
 	for _, tc := range cases {
 		got, err := ResolveConfig(tc.p, tc.cfg)
@@ -374,39 +374,33 @@ func TestResolveConfigRouting(t *testing.T) {
 			t.Fatalf("ResolveConfig(%+v): %v", tc.cfg, err)
 		}
 		if got != tc.want {
-			t.Fatalf("ResolveConfig(%+v) = %q, want %q", tc.cfg, got, tc.want)
+			t.Fatalf("ResolveConfig(%d components, %+v) = %q, want %q", len(tc.p.Components), tc.cfg, got, tc.want)
 		}
 	}
-
-	// The old ResolveStrategy surface refused spaces past the cap; it
-	// now routes them to the approximate lane.
-	if got, err := ResolveStrategy(wide, ""); err != nil || got != StrategyBeam {
+	if got, err := ResolveStrategy(wide, ""); err != nil || got != StrategyFrontier {
 		t.Fatalf("ResolveStrategy(wide, auto) = %q, %v", got, err)
 	}
 }
 
-// TestAnytimeN30WithinBudget is the acceptance gate: all three
-// approximate strategies solve the SLA-dense n=30 shape within a
-// 500ms budget with a certified gap at or below 5%.
+// TestAnytimeN30WithinBudget is the wide-shape gate: under the 500ms
+// wall budget the n=30 SLA-dense shape is solved exactly — uncertified,
+// gap 0, the budget never firing.
 func TestAnytimeN30WithinBudget(t *testing.T) {
 	p := BenchProblem(BenchWideN, BenchSLAWidePercent)
-	for _, strat := range []string{StrategyBeam, StrategyLDS, StrategyBounded} {
-		res, err := SolveConfig(context.Background(), p, SolverConfig{
-			Strategy: strat,
-			Budget:   Budget{Wall: 500 * time.Millisecond},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if res.Gap > 0.05 {
-			t.Fatalf("%s: certified gap %.4f > 0.05 (bound %v, incumbent %v, exhausted %v)",
-				strat, res.Gap, res.Bound, res.Best.TCO.Total(), res.BudgetExhausted)
-		}
+	res, err := SolveConfig(context.Background(), p, SolverConfig{
+		Strategy: StrategyFrontier,
+		Budget:   Budget{Wall: 500 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Approximate || res.BudgetExhausted || res.Gap != 0 {
+		t.Fatalf("n=30 within budget: approximate %v, exhausted %v, gap %v", res.Approximate, res.BudgetExhausted, res.Gap)
 	}
 }
 
-// TestRootLowerBoundSoundness pins the Pareto-relaxation bound alone
-// against the oracle, independent of any search.
+// TestRootLowerBoundSoundness pins the relaxation bound alone against
+// the oracle, independent of any search.
 func TestRootLowerBoundSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
@@ -415,7 +409,7 @@ func TestRootLowerBoundSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bound := p.rootLowerBound(p.tailFrontiers()); bound > ref.Best.TCO.Total() {
+		if bound := p.rootLowerBound(); bound > ref.Best.TCO.Total() {
 			t.Fatalf("trial %d: root bound %v exceeds optimum %v", trial, bound, ref.Best.TCO.Total())
 		}
 	}

@@ -7,57 +7,51 @@ import (
 	"uptimebroker/internal/cost"
 )
 
-// The approximate lane's certified gaps rest on one relaxation: drop
-// the coupling between components and track, per suffix of the
-// component list, the Pareto frontier of (HA cost, up-probability
-// product) pairs reachable by any completion of that suffix. Two facts
-// make bounds built on the frontier admissible. First, a system's
-// uptime never exceeds the product of its clusters' up-probabilities
-// (the same inequality the exact branch-and-bound's maxUpTail clip
-// uses), so a frontier point's up value upper-bounds the uptime of
-// every completion it stands for. Second, both TCO terms are monotone
-// — HA cost grows with spend, expected penalty shrinks as uptime rises
-// — so evaluating the TCO formula at a point that is cheaper and more
-// reliable than a real completion can only come out lower than the
-// completion's true TCO.
+// A budget- or cap-stopped frontier run certifies its incumbent
+// against one relaxation: drop the coupling between components and
+// track the Pareto frontier of (HA cost, up-probability product) pairs
+// reachable by any assignment. Two facts make the bound admissible.
+// First, a system's uptime never exceeds the product of its clusters'
+// up-probabilities, so a frontier point's up value upper-bounds the
+// uptime of every assignment it stands for. Second, both TCO terms are
+// monotone — HA cost grows with spend, expected penalty shrinks as
+// uptime rises — so evaluating the TCO formula at a point that is
+// cheaper and more reliable than a real assignment can only come out
+// lower than the assignment's true TCO.
 
 // boundPoint is one frontier point: the cheapest HA cost at which an
-// up-probability product of at least up is reachable over the suffix.
+// up-probability product of at least up is reachable.
 type boundPoint struct {
 	cost int64
 	up   float64
 }
 
-// maxBoundFrontier caps each suffix frontier. Past the cap, runs of
+// maxBoundFrontier caps the relaxed frontier. Past the cap, runs of
 // consecutive points collapse into a single dominating point (the
-// run's cheapest cost with the run's best up), which keeps every bound
+// run's cheapest cost with the run's best up), which keeps the bound
 // admissible at the price of some tightness. Symmetric instances never
 // get near the cap (their frontier has one point per spend level);
 // heterogeneous ones degrade gracefully.
 const maxBoundFrontier = 256
 
-// tailFrontiers builds the suffix frontiers: frontiers[i] covers
-// components i..n-1, frontiers[n] is the empty suffix {(0, 1)}. Each
-// exact (cost, up-product) pair reachable over a suffix is dominated
-// by some kept point — cost no higher, up no lower — by induction over
-// the merge.
-func (p *Problem) tailFrontiers() [][]boundPoint {
-	n := len(p.Components)
-	frontiers := make([][]boundPoint, n+1)
-	frontiers[n] = []boundPoint{{cost: 0, up: 1}}
-	for i := n - 1; i >= 0; i-- {
-		next := frontiers[i+1]
-		merged := make([]boundPoint, 0, len(next)*len(p.Components[i].Variants))
-		for _, v := range p.Components[i].Variants {
+// relaxedFrontier folds the components one at a time into the
+// relaxed frontier. Each exact (cost, up-product) pair reachable by an
+// assignment is dominated by some kept point — cost no higher, up no
+// lower — by induction over the merge.
+func (p *Problem) relaxedFrontier() []boundPoint {
+	front := []boundPoint{{cost: 0, up: 1}}
+	for _, comp := range p.Components {
+		merged := make([]boundPoint, 0, len(front)*len(comp.Variants))
+		for _, v := range comp.Variants {
 			c := int64(v.MonthlyCost)
 			up := v.Cluster.UpProbability()
-			for _, pt := range next {
+			for _, pt := range front {
 				merged = append(merged, boundPoint{cost: pt.cost + c, up: pt.up * up})
 			}
 		}
-		frontiers[i] = thinFrontier(merged)
+		front = thinFrontier(merged)
 	}
-	return frontiers
+	return front
 }
 
 // thinFrontier sorts by cost, drops dominated points (up must strictly
@@ -95,43 +89,17 @@ func thinFrontier(pts []boundPoint) []boundPoint {
 	return thinned
 }
 
-// frontierBound is the admissible lower bound on the TCO of any
-// completion of a partial assignment: the committed prefix cost and
-// up-product, extended by each frontier point of the remaining suffix,
-// evaluated through the TCO formula, minimized. Every real completion
-// is dominated by some point, and TCO is monotone in (cost, uptime),
-// so no completion beats the minimum.
-func frontierBound(sla cost.SLA, frontier []boundPoint, committed int64, committedUp float64) int64 {
-	best := int64(math.MaxInt64)
-	for _, pt := range frontier {
-		up := committedUp * pt.up
-		if up > 1 {
-			up = 1
-		}
-		if t := int64(cost.Compute(cost.Money(committed+pt.cost), sla, up).Total()); t < best {
+// rootLowerBound is a certified admissible lower bound on the optimal
+// TCO over the whole space, computed in O(n · k · frontier): the TCO
+// formula at each relaxed frontier point, minimized. Every real
+// assignment is dominated by some point, and TCO is monotone in
+// (cost, uptime), so no assignment beats the minimum.
+func (p *Problem) rootLowerBound() cost.Money {
+	best := cost.Money(math.MaxInt64)
+	for _, pt := range p.relaxedFrontier() {
+		if t := cost.Compute(cost.Money(pt.cost), p.SLA, min(pt.up, 1)).Total(); t < best {
 			best = t
 		}
 	}
 	return best
-}
-
-// frontierMeetBound is the admissible lower bound on the HA cost of
-// any SLA-meeting completion: the cheapest frontier point whose
-// best-case uptime reaches the target (the frontier ascends in both
-// coordinates, so the first point that qualifies is the cheapest).
-// ok is false when no completion can meet the SLA at all.
-func frontierMeetBound(frontier []boundPoint, committed int64, committedUp, target float64) (bound int64, ok bool) {
-	for _, pt := range frontier {
-		if committedUp*pt.up >= target {
-			return committed + pt.cost, true
-		}
-	}
-	return 0, false
-}
-
-// rootLowerBound is frontierBound at the root: a certified admissible
-// lower bound on the optimal TCO over the whole space, computed in
-// O(n · k · frontier) before any search starts.
-func (p *Problem) rootLowerBound(frontiers [][]boundPoint) cost.Money {
-	return cost.Money(frontierBound(p.SLA, frontiers[0], 0, 1))
 }

@@ -1,9 +1,7 @@
 package optimize
 
 import (
-	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"uptimebroker/internal/cost"
@@ -127,63 +125,5 @@ func TestTopK(t *testing.T) {
 	}
 	if _, err := p.TopK(0); err == nil {
 		t.Fatal("TopK(0) should fail")
-	}
-}
-
-func TestExhaustiveParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 60; trial++ {
-		p := randomProblem(rng)
-		seq, err := p.Exhaustive()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			par, err := p.ExhaustiveParallel(context.Background(), workers)
-			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			if par.Evaluated != seq.Evaluated {
-				t.Fatalf("trial %d: evaluated %d != %d", trial, par.Evaluated, seq.Evaluated)
-			}
-			if par.Best.TCO.Total() != seq.Best.TCO.Total() {
-				t.Fatalf("trial %d: parallel best %v != sequential %v",
-					trial, par.Best.TCO.Total(), seq.Best.TCO.Total())
-			}
-			if !equalAssignments(par.Best.Assignment, seq.Best.Assignment) {
-				t.Fatalf("trial %d: tie-break divergence: %v vs %v",
-					trial, par.Best.Assignment, seq.Best.Assignment)
-			}
-			if par.NoPenaltyFound != seq.NoPenaltyFound {
-				t.Fatalf("trial %d: NoPenaltyFound mismatch", trial)
-			}
-			if seq.NoPenaltyFound && par.BestNoPenalty.TCO.Total() != seq.BestNoPenalty.TCO.Total() {
-				t.Fatalf("trial %d: BestNoPenalty mismatch", trial)
-			}
-		}
-	}
-}
-
-func TestExhaustiveParallelCancellation(t *testing.T) {
-	p := sampleProblem()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.ExhaustiveParallel(ctx, 2); err == nil {
-		t.Fatal("canceled parallel search should fail")
-	}
-}
-
-func TestExhaustiveParallelValidation(t *testing.T) {
-	p := sampleProblem()
-	if _, err := p.ExhaustiveParallel(context.Background(), -1); err == nil {
-		t.Fatal("negative workers should fail")
-	}
-	// workers=0 uses GOMAXPROCS and must still work.
-	res, err := p.ExhaustiveParallel(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("workers=0: %v", err)
-	}
-	if res.Evaluated != p.SpaceSize() {
-		t.Fatalf("evaluated = %d", res.Evaluated)
 	}
 }

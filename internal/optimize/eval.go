@@ -39,11 +39,10 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 }
 
 // newEvaluatorShape compiles without the MaxCandidates cap: the
-// approximate searches bound their own work (beam width, discrepancy
-// budget, evaluation/wall budgets), so the space size is not a memory
-// or time hazard for them.
+// frontier DP's work follows its non-dominated states and its state
+// cap bounds its memory, so the space size is not a hazard for it.
 func newEvaluatorShape(p *Problem) (*Evaluator, error) {
-	if err := p.validateShape(); err != nil {
+	if err := p.ValidateShape(); err != nil {
 		return nil, err
 	}
 	return compileEvaluator(p), nil
@@ -87,8 +86,8 @@ func compileEvaluator(p *Problem) *Evaluator {
 func (e *Evaluator) Problem() *Problem { return e.p }
 
 // NewCursor allocates a cursor positioned on the all-baseline
-// assignment. Cursors are not safe for concurrent use; parallel
-// searches give each worker its own.
+// assignment. Cursors are not safe for concurrent use; the parallel
+// stream gives each worker its own.
 func (e *Evaluator) NewCursor() *Cursor {
 	n := len(e.p.Components)
 	c := &Cursor{
@@ -170,7 +169,7 @@ func (c *Cursor) Seek(a Assignment) error {
 // Sync repositions the cursor on a, re-folding only from the first
 // digit that differs from the current position. It is the move
 // operation for callers that walk the space in their own order with
-// prefix locality (the pruned level walks, branch-and-bound): the
+// prefix locality (the pruned level walks): the
 // cheaper the jump, the less gets recomputed. The assignment must be
 // in range (Seek checks; Sync trusts its caller and panics on an
 // out-of-range index).
@@ -208,7 +207,7 @@ func (c *Cursor) Advance() bool { return c.AdvanceFrom(0) }
 // final candidate, wrapping the suffix back to all-baseline (the
 // cursor stays fully consistent, so a subsequent Sync re-folds only
 // genuinely changed digits). It is the cursor counterpart of the
-// enumeration the parallel searches shard by pinned prefix.
+// enumeration the parallel stream shards by pinned prefix.
 func (c *Cursor) AdvanceFrom(from int) bool {
 	for i := len(c.a) - 1; i >= from; i-- {
 		c.a[i]++

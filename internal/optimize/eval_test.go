@@ -136,8 +136,7 @@ func TestCursorAdvanceWrapStaysConsistent(t *testing.T) {
 // registered exact solver now prices through the compiled evaluator,
 // and ExhaustiveScratch is the one path that still re-derives every
 // candidate with Problem.Evaluate — agreement here means the
-// incremental rewiring changed nothing observable, bit for bit. The
-// approximate strategies answer to the certified-gap tests instead.
+// incremental rewiring changed nothing observable, bit for bit.
 func TestSolversMatchScratchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170611))
 	for trial := 0; trial < 60; trial++ {
@@ -147,9 +146,6 @@ func TestSolversMatchScratchOracle(t *testing.T) {
 			t.Fatalf("trial %d: ExhaustiveScratch: %v", trial, err)
 		}
 		for _, strategy := range Strategies() {
-			if ApproximateStrategy(strategy) {
-				continue
-			}
 			res, err := Solve(context.Background(), p, strategy)
 			if err != nil {
 				t.Fatalf("trial %d: Solve(%s): %v", trial, strategy, err)

@@ -15,11 +15,9 @@ import "math"
 // never anyone's child — so freshly grown edge blocks need no
 // initialization beyond the zeroing append already performs.
 //
-// Lookup state lives in flatWalkers, not the index: the index itself
-// is safe to share read-only across goroutines (the parallel level
-// search hands every worker the same frozen arena and a private
-// walker; no per-level rebuild). Each insert bumps an epoch so
-// walkers can tell when their checkpoints went stale.
+// Lookup state lives in a flatWalker, not the index: the arena
+// itself is read-only between inserts. Each insert bumps an epoch so
+// the walker can tell when its checkpoints went stale.
 type flatMetIndex struct {
 	arity    []int    // variants per component, sizing edge blocks
 	kidsOff  []int32  // per node: offset of its edge block, -1 = none
@@ -114,8 +112,7 @@ func (ix *flatMetIndex) insert(a Assignment) {
 	ix.epoch++
 }
 
-// coversFrom satisfies coverIndex on the index's own walker; the
-// parallel search gives each worker a private walker instead.
+// coversFrom satisfies coverIndex on the index's own walker.
 func (ix *flatMetIndex) coversFrom(a Assignment, from int) bool {
 	return ix.w.coversFrom(a, from)
 }
@@ -127,15 +124,15 @@ func (ix *flatMetIndex) coversFrom(a Assignment, from int) bool {
 // a's prefix of length d, so when the caller reports that digits
 // below `from` are unchanged since the previous lookup, the walk
 // resumes from frontier from instead of re-descending from the root.
-// The level enumeration and branch-and-bound's depth-first walk both
-// change only a suffix between consecutive leaves, which amortizes
-// lookups exactly like Cursor.Advance amortizes re-folding.
+// The level enumeration changes only a suffix between consecutive
+// leaves, which amortizes lookups exactly like Cursor.Advance
+// amortizes re-folding.
 //
 // Checkpoints are sound only against the trie they were computed on:
 // every insert bumps the index epoch and a stale walker restarts from
-// the root on its next lookup, so immediate-insert searches (the
-// sequential level walk, branch-and-bound) stay exact without any
-// argument about what the new assignment can or cannot cover.
+// the root on its next lookup, so the immediate-insert level walk
+// stays exact without any argument about what the new assignment can
+// or cannot cover.
 //
 // A walker is single-goroutine state. The zero-allocation steady
 // state is reached once the frontier buffer has grown to the
@@ -151,8 +148,7 @@ type flatWalker struct {
 	valid int
 }
 
-// newWalker returns a fresh walker over the index. Workers of the
-// parallel level search each take one; the index's frozen arena is
+// newWalker returns a fresh walker over the index: the arena is
 // shared, the walk state is not.
 func (ix *flatMetIndex) newWalker() *flatWalker {
 	w := &flatWalker{
@@ -178,8 +174,7 @@ func (ix *flatMetIndex) newWalker() *flatWalker {
 // That second shortcut is what keeps lookups cheap in the one regime
 // where checkpoints cannot help — the first SLA-met level, where every
 // leaf's insert bumps the epoch and would otherwise force a full
-// frontier rebuild on the next lookup (the level search's met level,
-// and branch-and-bound's cost-tie leaves).
+// frontier rebuild on the next lookup (the level search's met level).
 func (w *flatWalker) coversFrom(a Assignment, from int) bool {
 	ix := w.ix
 	level, last := 0, -1

@@ -326,106 +326,3 @@ func TestPrunedThreeWaySolverEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestBranchAndBoundCoverClipping pins the new B&B leaf protocol: it
-// stays exact against exhaustive, its Clipped count is bounded by
-// Skipped, and accounting still sums to the space.
-func TestBranchAndBoundCoverClipping(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 80; trial++ {
-		p := randomProblem(rng)
-		ref, err := p.Exhaustive()
-		if err != nil {
-			t.Fatalf("trial %d: Exhaustive: %v", trial, err)
-		}
-		bb, err := p.BranchAndBound()
-		if err != nil {
-			t.Fatalf("trial %d: BranchAndBound: %v", trial, err)
-		}
-		if bb.Best.TCO.Total() != ref.Best.TCO.Total() || !equalAssignments(bb.Best.Assignment, ref.Best.Assignment) {
-			t.Fatalf("trial %d: B&B best %v (%v) != exhaustive %v (%v)",
-				trial, bb.Best.Assignment, bb.Best.TCO.Total(), ref.Best.Assignment, ref.Best.TCO.Total())
-		}
-		if bb.NoPenaltyFound != ref.NoPenaltyFound {
-			t.Fatalf("trial %d: B&B NoPenaltyFound diverges", trial)
-		}
-		if ref.NoPenaltyFound && !equalAssignments(bb.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment) {
-			t.Fatalf("trial %d: B&B BestNoPenalty %v != exhaustive %v",
-				trial, bb.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment)
-		}
-		if bb.Evaluated+bb.Skipped != ref.Evaluated {
-			t.Fatalf("trial %d: B&B accounting %d+%d != space %d", trial, bb.Evaluated, bb.Skipped, ref.Evaluated)
-		}
-		if bb.Clipped > bb.Skipped {
-			t.Fatalf("trial %d: Clipped %d exceeds Skipped %d", trial, bb.Clipped, bb.Skipped)
-		}
-		// B&B gates the lookup on a cost-tie check, so lookups are a
-		// subset of reached leaves and clips a subset of lookups.
-		if bb.CoverLookups > bb.Evaluated+bb.Clipped {
-			t.Fatalf("trial %d: more lookups than reached leaves: lookups=%d evaluated=%d clipped=%d",
-				trial, bb.CoverLookups, bb.Evaluated, bb.Clipped)
-		}
-		if bb.Clipped > bb.CoverLookups {
-			t.Fatalf("trial %d: clips without lookups: lookups=%d clipped=%d", trial, bb.CoverLookups, bb.Clipped)
-		}
-	}
-}
-
-// TestBranchAndBoundCoverClipFiresOnCostTies exercises the regime the
-// gated B&B cover lookup exists for: zero-cost HA variants make every
-// SLA-met assignment tie at the same TCO, so the admissible cost
-// bound can never clip (it needs a strict improvement) and removing
-// the SLA-met supersets falls entirely to the superset index. The
-// level search applies the identical clip rule, so both must agree on
-// the optimum and on exactly how many candidates the index removed.
-func TestBranchAndBoundCoverClipFiresOnCostTies(t *testing.T) {
-	n := 8
-	comps := make([]ComponentChoices, n)
-	for i := range comps {
-		comps[i] = ComponentChoices{
-			Name: "c",
-			Variants: []Variant{
-				{
-					Label:   "none",
-					Cluster: availability.Cluster{Name: "c", Nodes: 1, NodeDown: 0.02, FailuresPerYear: 4},
-				},
-				{
-					Label: "ha",
-					Cluster: availability.Cluster{
-						Name: "c", Nodes: 2, Tolerated: 1, NodeDown: 0.02,
-						FailuresPerYear: 4, Failover: 30 * time.Second,
-					},
-					// Same cost as the baseline: legal (Validate only
-					// forbids cheaper), and it produces the TCO ties.
-				},
-			},
-		}
-	}
-	p := &Problem{
-		Components: comps,
-		SLA:        cost.SLA{UptimePercent: 90, Penalty: cost.Penalty{PerHour: cost.Dollars(100)}},
-	}
-
-	bb, err := p.BranchAndBound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := p.Pruned()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bb.Clipped == 0 {
-		t.Fatal("cost-tie instance produced no B&B cover clips; the gated lookup is dead")
-	}
-	if bb.Clipped != pr.Clipped || bb.Evaluated != pr.Evaluated {
-		t.Fatalf("B&B (ev=%d clip=%d) disagrees with level search (ev=%d clip=%d) on the shared clip rule",
-			bb.Evaluated, bb.Clipped, pr.Evaluated, pr.Clipped)
-	}
-	if !equalAssignments(bb.Best.Assignment, pr.Best.Assignment) {
-		t.Fatalf("B&B best %v != pruned %v", bb.Best.Assignment, pr.Best.Assignment)
-	}
-	if bb.NoPenaltyFound != pr.NoPenaltyFound ||
-		(pr.NoPenaltyFound && !equalAssignments(bb.BestNoPenalty.Assignment, pr.BestNoPenalty.Assignment)) {
-		t.Fatal("B&B and pruned disagree on the no-penalty recommendation under ties")
-	}
-}

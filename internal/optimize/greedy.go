@@ -9,8 +9,10 @@ package optimize
 // slippage gap is shared), so greedy can stall in local optima. The
 // GREEDY experiment quantifies that optimality gap; its existence is
 // the justification for the paper's exhaustive/pruned global search.
+// It is also the incumbent a budget- or cap-stopped frontier run
+// answers with, so it takes any space up to the shape ceiling.
 func (p *Problem) Greedy() (Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.ValidateShape(); err != nil {
 		return Result{}, err
 	}
 

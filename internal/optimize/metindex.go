@@ -72,8 +72,7 @@ func (ix *linearIndex) coversFrom(a Assignment, _ int) bool {
 // against. Lookups reuse an explicit stack owned by the index, so —
 // unlike the old recursive walk — deep instances cannot grow the
 // goroutine stack per lookup, at the price of covers no longer being
-// safe for concurrent use (the parallel search runs on per-worker
-// flat walkers instead).
+// safe for concurrent use.
 type metIndex struct {
 	arity []int // variants per component, sizing child slices
 	root  *metNode

@@ -1,7 +1,9 @@
 // Package optimize implements the paper's solution search: Equation 6
 // (pick the HA-enabled variant with minimum monthly TCO among all k^n
-// permutations) and the Section III.C refinement that prunes supersets
-// of permutations which already satisfy the uptime SLA.
+// permutations), the Section III.C refinement that prunes supersets
+// of permutations which already satisfy the uptime SLA, and the
+// production frontier DP, which reaches the same answers without
+// enumerating the space.
 //
 // The package is deliberately abstract: a Problem is a list of decision
 // dimensions (one per component of the base architecture), each with a
@@ -56,17 +58,14 @@ type Problem struct {
 	SLA cost.SLA
 }
 
-// MaxCandidates bounds the exhaustive search space; Equation 6
-// enumerates k^n candidates and the paper notes n is usually under 10.
-// Larger spaces must use the pruned or branch-and-bound searches, and
-// even those refuse spaces beyond this bound to keep memory and time
-// predictable. Only the approximate strategies (beam, lds, bounded) go
-// past it: their work is bounded by beam width, discrepancy budget and
-// the evaluation/wall budget rather than by k^n.
+// MaxCandidates bounds the space the enumerating strategies
+// (exhaustive, pruned) accept; Equation 6 enumerates k^n candidates
+// and the paper notes n is usually under 10. Only frontier goes past
+// it: its work follows the non-dominated states, not k^n, and its
+// state cap bounds its memory.
 const MaxCandidates = 1 << 26
 
-// maxShapeCandidates is the hard ceiling even the approximate lane
-// enforces: past it the int64 space-size bookkeeping (progress bars,
+// maxShapeCandidates is the hard ceiling even frontier enforces: past it the int64 space-size bookkeeping (progress bars,
 // clipped-subtree accounting) would overflow.
 const maxShapeCandidates = 1 << 50
 
@@ -74,7 +73,7 @@ const maxShapeCandidates = 1 << 50
 // the exact strategies: the per-component shape invariants plus the
 // MaxCandidates space cap.
 func (p *Problem) Validate() error {
-	if err := p.validateShape(); err != nil {
+	if err := p.ValidateShape(); err != nil {
 		return err
 	}
 	space := 1
@@ -87,13 +86,13 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// validateShape checks everything Validate does except the
+// ValidateShape checks everything Validate does except the
 // MaxCandidates cap: SLA validity and the per-component invariants
 // (valid clusters, non-negative costs, baseline-cheapest ordering that
-// makes superset pruning sound). The approximate solvers validate
-// through it so they can take spaces the exact lane refuses, up to the
+// makes superset pruning sound). Frontier validates through it so it
+// can take spaces the enumerating strategies refuse, up to the
 // bookkeeping ceiling.
-func (p *Problem) validateShape() error {
+func (p *Problem) ValidateShape() error {
 	if len(p.Components) == 0 {
 		return errors.New("optimize: problem has no components")
 	}
@@ -250,29 +249,29 @@ type Result struct {
 	// Evaluated counts full candidate evaluations performed.
 	Evaluated int
 
-	// Skipped counts candidates clipped without evaluation (pruned and
-	// branch-and-bound searches; zero for exhaustive).
+	// Skipped counts candidates resolved without evaluation: clipped
+	// by the pruned search, or dropped with a dominated frontier state
+	// (zero for exhaustive).
 	Skipped int
 
 	// CoverLookups counts superset-index lookups performed (one per
-	// leaf reached by the pruned and branch-and-bound searches; zero
-	// for exhaustive).
+	// leaf reached by the pruned search; zero for the others).
 	CoverLookups int
 
 	// Clipped counts candidates clipped because a recorded SLA-meeting
-	// assignment covered them. It is a subset of Skipped, which for
-	// branch-and-bound also includes bound-clipped subtrees.
+	// assignment covered them (the pruned search; equal to its
+	// Skipped).
 	Clipped int
 
 	// Strategy is the name of the concrete solver that produced the
-	// result when it came through Solve ("auto" resolves to the
-	// strategy the heuristic picked); empty for direct method calls.
+	// result when it came through Solve ("auto" and the retired aliases
+	// resolve to the strategy that ran); empty for direct method calls.
 	Strategy string
 
-	// Approximate reports the result came from the anytime lane (beam,
-	// lds, bounded): Best is an incumbent rather than a proven optimum,
-	// and the certificate fields below are populated. Exact runs leave
-	// all of them zero.
+	// Approximate reports a frontier run stopped early by its budget
+	// or its state cap: Best is an incumbent rather than a proven
+	// optimum, and the certificate fields below are populated. Exact
+	// runs leave all of them zero.
 	Approximate bool
 
 	// Bound is the certified admissible lower bound on the optimal
@@ -289,17 +288,16 @@ type Result struct {
 	Gap float64
 
 	// Optimal reports the gap closed to zero: the incumbent is a
-	// proven optimum despite coming from an approximate strategy
-	// (the search completed without dropping any candidate, or the
-	// bound tightened onto the incumbent).
+	// proven optimum despite the early stop (the bound tightened onto
+	// the incumbent).
 	Optimal bool
 
 	// BudgetExhausted reports the search stopped on its wall-clock or
-	// evaluation budget rather than running its strategy to completion.
+	// evaluation budget rather than running to completion.
 	BudgetExhausted bool
 }
 
-// certify stamps the approximate-lane certificate onto a result: the
+// certify stamps the early-stop certificate onto a result: the
 // admissible lower bound, the relative gap it implies for the
 // incumbent, and whether the search ran out of budget. Admissible
 // bounds never exceed the incumbent (which is a real candidate, so its
@@ -527,5 +525,12 @@ func (p *Problem) AllContext(ctx context.Context) ([]Candidate, error) {
 // order with the last component as the fastest digit; it returns false
 // after the final candidate.
 func (p *Problem) advance(a Assignment) bool {
-	return p.advanceFrom(a, 0)
+	for i := len(a) - 1; i >= 0; i-- {
+		a[i]++
+		if a[i] < len(p.Components[i].Variants) {
+			return true
+		}
+		a[i] = 0
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -216,15 +217,21 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestBranchAndBoundMatchesExhaustive: the retired branch-and-bound
+// name still answers, now by running frontier, with exhaustive's
+// optimum.
 func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 	p := sampleProblem()
 	ex, _ := p.Exhaustive()
-	bb, err := p.BranchAndBound()
+	bb, err := Solve(context.Background(), p, StrategyBranchAndBound)
 	if err != nil {
-		t.Fatalf("BranchAndBound: %v", err)
+		t.Fatalf("Solve(branch-and-bound): %v", err)
+	}
+	if bb.Strategy != StrategyFrontier {
+		t.Fatalf("branch-and-bound ran %q, want frontier", bb.Strategy)
 	}
 	if ex.Best.TCO.Total() != bb.Best.TCO.Total() {
-		t.Fatalf("B&B best TCO %v != exhaustive %v", bb.Best.TCO.Total(), ex.Best.TCO.Total())
+		t.Fatalf("branch-and-bound best TCO %v != exhaustive %v", bb.Best.TCO.Total(), ex.Best.TCO.Total())
 	}
 }
 
@@ -277,16 +284,16 @@ func TestPropertySearchesAgreeOnRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Pruned: %v", trial, err)
 		}
-		bb, err := p.BranchAndBound()
+		fr, err := Solve(context.Background(), p, StrategyFrontier)
 		if err != nil {
-			t.Fatalf("trial %d: BranchAndBound: %v", trial, err)
+			t.Fatalf("trial %d: frontier: %v", trial, err)
 		}
 		if pr.Best.TCO.Total() != ex.Best.TCO.Total() {
 			t.Fatalf("trial %d: pruned optimum %v != exhaustive %v (pruned asg %v, ex asg %v)",
 				trial, pr.Best.TCO.Total(), ex.Best.TCO.Total(), pr.Best.Assignment, ex.Best.Assignment)
 		}
-		if bb.Best.TCO.Total() != ex.Best.TCO.Total() {
-			t.Fatalf("trial %d: B&B optimum %v != exhaustive %v", trial, bb.Best.TCO.Total(), ex.Best.TCO.Total())
+		if fr.Best.TCO.Total() != ex.Best.TCO.Total() {
+			t.Fatalf("trial %d: frontier optimum %v != exhaustive %v", trial, fr.Best.TCO.Total(), ex.Best.TCO.Total())
 		}
 		if pr.NoPenaltyFound != ex.NoPenaltyFound {
 			t.Fatalf("trial %d: NoPenaltyFound mismatch", trial)

@@ -15,9 +15,9 @@ type ProgressFunc func(evaluated, spaceSize int64)
 // progressKey carries the hook in a context.
 type progressKey struct{}
 
-// WithProgress attaches a progress hook to the context. Every
-// enumeration entry point that takes a context (AllContext,
-// ExhaustiveContext, PrunedContext) reports through it on a fixed
+// WithProgress attaches a progress hook to the context. Every search
+// entry point that takes a context (AllContext, ExhaustiveContext,
+// PrunedContext, ParetoContext, Solve) reports through it on a fixed
 // cadence plus once at completion; a nil fn detaches.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)

@@ -1,9 +1,6 @@
 package optimize
 
-import (
-	"context"
-	"math"
-)
+import "context"
 
 // Pruned implements the Section III.C search: candidates are evaluated
 // level by level — first the baseline, then every permutation with one
@@ -84,27 +81,43 @@ func (p *Problem) prunedWith(ctx context.Context, ix coverIndex) (Result, error)
 }
 
 // enumerateLevel visits every assignment with exactly `level` clustered
-// components, skipping supersets of already-met assignments.
+// components, skipping supersets of already-met assignments. Exactly
+// one cover lookup happens per leaf, and every covering lookup clips
+// exactly one candidate — the per-index accounting the three-way
+// equivalence tests pin byte-identical. Clipped candidates count
+// toward progress (they are resolved work).
 func (p *Problem) enumerateLevel(cc *canceler, pt *progressTicker, level int, res *Result, ix coverIndex, cur *Cursor) error {
 	a := make(Assignment, len(p.Components))
-	return p.walkLevel(a, 0, level, func(changedFrom int) error {
-		return p.prunedLeaf(a, changedFrom, cc, ix.coversFrom, res, pt.advance, ix.insert, cur)
+	return p.walkLevel(a, level, func(changedFrom int) error {
+		if err := cc.check(); err != nil {
+			return err
+		}
+		res.CoverLookups++
+		pt.advance(1)
+		if ix.coversFrom(a, changedFrom) {
+			res.Skipped++
+			res.Clipped++
+			return nil
+		}
+		cur.Sync(a)
+		res.observeCursor(cur, p.SLA)
+		if cur.MeetsSLA() {
+			ix.insert(a)
+		}
+		return nil
 	})
 }
 
-// walkLevel enumerates every completion of a from index `start` with
-// exactly `remaining` additional clustered components, invoking leaf
-// at each complete assignment. It is the single combination walker
-// under both the sequential and the parallel pruned searches — any
-// change to the walk order changes both identically, which the
-// parallel-vs-sequential accounting tests then re-verify.
+// walkLevel enumerates every assignment with exactly `level` clustered
+// components in lexicographic order, invoking leaf at each one with a
+// holding it.
 //
 // leaf receives the lowest digit the walk changed since the previous
 // leaf (0 on the first leaf, so resumable cover walkers start every
-// level/task from the root) — the same changed-suffix information
+// level from the root) — the same changed-suffix information
 // Cursor.Sync derives by diffing, handed to the superset index so its
 // checkpointed walker can resume mid-trie.
-func (p *Problem) walkLevel(a Assignment, start, remaining int, leaf func(changedFrom int) error) error {
+func (p *Problem) walkLevel(a Assignment, level int, leaf func(changedFrom int) error) error {
 	n := len(p.Components)
 	lo := 0
 	set := func(idx, v int) {
@@ -144,256 +157,5 @@ func (p *Problem) walkLevel(a Assignment, start, remaining int, leaf func(change
 		}
 		return nil
 	}
-	return walk(start, remaining)
-}
-
-// prunedLeaf is the shared leaf protocol of the pruned searches: poll
-// cancellation, clip covered supersets, evaluate the rest, and hand
-// SLA-meeting assignments to onMet (immediate index insertion for the
-// sequential walk, barrier collection for the parallel one). advance
-// accounts for one resolved candidate, evaluated or clipped. Exactly
-// one cover lookup happens per leaf, and every covering lookup clips
-// exactly one candidate — the per-index accounting the three-way
-// equivalence tests pin byte-identical.
-func (p *Problem) prunedLeaf(a Assignment, changedFrom int, cc *canceler, covers func(Assignment, int) bool, res *Result, advance func(int64), onMet func(Assignment), cur *Cursor) error {
-	if err := cc.check(); err != nil {
-		return err
-	}
-	res.CoverLookups++
-	if covers(a, changedFrom) {
-		res.Skipped++
-		res.Clipped++
-		advance(1)
-		return nil
-	}
-	cur.Sync(a)
-	res.observeCursor(cur, p.SLA)
-	advance(1)
-	if cur.MeetsSLA() {
-		onMet(a)
-	}
-	return nil
-}
-
-// BranchAndBound searches depth-first with an admissible cost bound:
-// the TCO of any completion of a partial assignment is at least the
-// cost already committed plus each remaining component's cheapest
-// variant (expected penalty is never negative). Subtrees whose bound
-// cannot beat the incumbent are clipped. Like Pruned, it is exact.
-func (p *Problem) BranchAndBound() (Result, error) {
-	return p.BranchAndBoundContext(context.Background())
-}
-
-// BranchAndBoundContext is BranchAndBound with the same cooperative
-// cancellation and progress reporting as the other searches: the walk
-// aborts with ctx.Err() shortly after ctx is done, and a WithProgress
-// hook on the context sees clipped subtrees counted as resolved work.
-//
-// The clip rule preserves both orderings, so the result matches the
-// other solvers on Best *and* BestNoPenalty. A subtree is clipped only
-// when its cost bound cannot beat the incumbent optimum and it cannot
-// improve the no-penalty answer either — because no completion can
-// meet the SLA (the system uptime is at most the product of cluster
-// up-probabilities, so an upper bound over the subtree is the
-// committed clusters' product times each remaining component's best
-// variant), or because the cost bound already exceeds the incumbent
-// no-penalty cost (SLA-meeting candidates pay no penalty, so their TCO
-// is exactly their HA cost, which the bound floors).
-//
-// Leaves that survive the cost bound additionally pass through the
-// flat superset index: SLA-meeting leaves are recorded, and a later
-// leaf covered by one is clipped without evaluation — sound by the
-// same argument as the level search (a covered superset costs at
-// least its subset while its penalty stays zero). The lookup is
-// gated twice, which makes it nearly free. First, on a cost tie: a
-// covering subset m satisfies TCO(m) = cost(m) ≤ committed, and m was
-// evaluated, so Best.TCO ≤ committed and (m meets the SLA)
-// BestNoPenalty.TCO ≤ committed — while surviving the cost bound
-// requires committed ≤ Best.TCO, or committed ≤ BestNoPenalty.TCO on
-// the can-improve-no-penalty branch. A reached leaf can therefore
-// only be covered when its committed cost exactly ties an incumbent
-// total. Second, on level: a cover clusters a strict subset of the
-// leaf's components — an equal-level cover could only be the leaf
-// itself, and depth-first search visits each assignment once — so the
-// leaf's level must exceed the lowest recorded one. SLA-met leaves
-// queue in a flat pending arena and fold into the trie only when a
-// lookup actually fires: on instances where the admissible bound
-// subsumes every cover clip (no exact ties), the index is never built
-// at all.
-func (p *Problem) BranchAndBoundContext(ctx context.Context) (Result, error) {
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		return Result{}, err
-	}
-	cur := ev.NewCursor()
-
-	n := len(p.Components)
-	// minTail[i] is the cheapest possible cost of components i..n-1;
-	// maxUpTail[i] the largest possible up-probability product.
-	minTail := make([]int64, n+1)
-	maxUpTail := make([]float64, n+1)
-	maxUpTail[n] = 1
-	for i := n - 1; i >= 0; i-- {
-		cheapest := p.Components[i].Variants[0].MonthlyCost
-		bestUp := 0.0
-		for _, v := range p.Components[i].Variants {
-			if v.MonthlyCost < cheapest {
-				cheapest = v.MonthlyCost
-			}
-			if up := v.Cluster.UpProbability(); up > bestUp {
-				bestUp = up
-			}
-		}
-		minTail[i] = minTail[i+1] + int64(cheapest)
-		maxUpTail[i] = maxUpTail[i+1] * bestUp
-	}
-
-	target := p.SLA.Target()
-	var res Result
-	cc := canceler{ctx: ctx}
-	pt := newProgressTicker(ctx, p)
-	ix := newFlatMetIndex(p)
-	var pending pendingMets // met leaves queued until a lookup needs them
-	pendingMin := math.MaxInt
-	scratch := make(Assignment, n)
-	a := make(Assignment, n)
-	var committed int64
-	lo := 0
-	lvl := 0 // clustered components in a[:idx]
-
-	var walk func(idx int, upCommitted float64) error
-	walk = func(idx int, upCommitted float64) error {
-		if res.Evaluated > 0 && committed+minTail[idx] > int64(res.Best.TCO.Total()) {
-			subtreeCanMeetSLA := upCommitted*maxUpTail[idx] >= target
-			canImproveNoPenalty := subtreeCanMeetSLA &&
-				!(res.NoPenaltyFound && committed+minTail[idx] > int64(res.BestNoPenalty.TCO.Total()))
-			if !canImproveNoPenalty {
-				// Clip-dominated tails (an unattainable SLA after a
-				// strong incumbent) may never reach another evaluated
-				// leaf, so cancellation must be polled here too.
-				if err := cc.check(); err != nil {
-					return err
-				}
-				clipped := p.subtreeSize(idx)
-				res.Skipped += clipped
-				pt.advance(int64(clipped))
-				return nil
-			}
-		}
-		if idx == n {
-			if err := cc.check(); err != nil {
-				return err
-			}
-			coverPossible := res.Evaluated > 0 &&
-				(lvl > ix.minLevel || lvl > pendingMin) &&
-				(committed == int64(res.Best.TCO.Total()) ||
-					(res.NoPenaltyFound && committed == int64(res.BestNoPenalty.TCO.Total())))
-			if coverPossible {
-				pending.flush(ix, scratch)
-				pendingMin = math.MaxInt
-				// lo accumulates the lowest digit changed since the last
-				// *performed* lookup — gated-out leaves must keep
-				// widening the hint, so it only resets here.
-				changedFrom := lo
-				lo = n
-				res.CoverLookups++
-				if ix.coversFrom(a, changedFrom) {
-					res.Skipped++
-					res.Clipped++
-					pt.advance(1)
-					return nil
-				}
-			}
-			cur.Sync(a)
-			res.observeCursor(cur, p.SLA)
-			pt.advance(1)
-			if cur.MeetsSLA() {
-				pending.add(a)
-				if lvl < pendingMin {
-					pendingMin = lvl
-				}
-			}
-			return nil
-		}
-		for v := range p.Components[idx].Variants {
-			if a[idx] != v {
-				a[idx] = v
-				if idx < lo {
-					lo = idx
-				}
-			}
-			variant := p.Components[idx].Variants[v]
-			delta := int64(variant.MonthlyCost)
-			committed += delta
-			if v != 0 {
-				lvl++
-			}
-			if err := walk(idx+1, upCommitted*variant.Cluster.UpProbability()); err != nil {
-				return err
-			}
-			if v != 0 {
-				lvl--
-			}
-			committed -= delta
-		}
-		if a[idx] != 0 {
-			a[idx] = 0
-			if idx < lo {
-				lo = idx
-			}
-		}
-		return nil
-	}
-	if err := walk(0, 1); err != nil {
-		return Result{}, err
-	}
-	pt.done()
-	return res, nil
-}
-
-// pendingMets queues SLA-met leaves as packed (component, variant)
-// pairs — one word per clustered component — until a gated lookup
-// folds them into the trie. Met leaves are dense in components but
-// sparse in clusters, so packing keeps the queue's append traffic
-// well below re-copying whole assignments; on instances where the
-// admissible bound subsumes every cover clip (no exact cost ties) the
-// queue is the only cover-clipping cost branch-and-bound pays.
-type pendingMets struct {
-	packed []int64 // (component << 32) | variant, grouped per met leaf
-	ends   []int32 // end offset into packed, one per met leaf
-}
-
-func (q *pendingMets) add(a Assignment) {
-	for i, v := range a {
-		if v != 0 {
-			q.packed = append(q.packed, int64(i)<<32|int64(v))
-		}
-	}
-	q.ends = append(q.ends, int32(len(q.packed)))
-}
-
-// flush inserts every queued met into ix, unpacking through scratch
-// (len of the problem's component count), and empties the queue.
-func (q *pendingMets) flush(ix *flatMetIndex, scratch Assignment) {
-	start := int32(0)
-	for _, end := range q.ends {
-		clear(scratch)
-		for _, pv := range q.packed[start:end] {
-			scratch[pv>>32] = int(pv & 0xffffffff)
-		}
-		ix.insert(scratch)
-		start = end
-	}
-	q.packed = q.packed[:0]
-	q.ends = q.ends[:0]
-}
-
-// subtreeSize returns the number of complete assignments below a
-// partial assignment fixed through component idx-1.
-func (p *Problem) subtreeSize(idx int) int {
-	size := 1
-	for _, comp := range p.Components[idx:] {
-		size *= len(comp.Variants)
-	}
-	return size
+	return walk(0, level)
 }

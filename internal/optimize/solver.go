@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"uptimebroker/internal/availability"
 )
 
 // Solver is one search algorithm over a Problem. Every registered
 // solver uniformly supports context cancellation, WithProgress hooks
-// and WithStrategyReport hooks. The exact strategies return identical
-// Best/BestNoPenalty for the same problem (a property the equivalence
-// tests enforce on randomized instances); the approximate lane's
-// strategies (see ApproximateStrategy) instead certify how far their
-// incumbent can be from optimal through the Result's Bound/Gap fields.
+// and WithStrategyReport hooks, and returns the same Best/BestNoPenalty
+// assignments as exhaustive for the same problem (a property the
+// equivalence tests enforce on randomized instances). A frontier run
+// that a budget or its state cap stops early is the one exception: it
+// marks its result Approximate and certifies how far its incumbent can
+// be from optimal through the Result's Bound/Gap fields.
 type Solver interface {
 	// Name is the strategy's registry key, e.g. "pruned".
 	Name() string
@@ -25,76 +24,59 @@ type Solver interface {
 	Solve(ctx context.Context, p *Problem) (Result, error)
 }
 
-// ConfigSolver is the config-aware face of a Solver: strategies that
-// honor budgets and the approximate-lane knobs implement it, and
-// SolveConfig dispatches through it when present. Solve remains the
-// zero-config entry (equivalent to SolveConfig with a zero
-// SolverConfig carrying the strategy name).
-type ConfigSolver interface {
-	Solver
-
-	// SolveConfig runs the search under the given configuration. The
-	// config's Strategy field is advisory here — dispatch already
-	// happened — but the budget and knobs must be honored.
-	SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error)
-}
-
 // Built-in strategy names.
 const (
 	// StrategyExhaustive prices every one of the k^n candidates
-	// (Equation 6 verbatim). The only strategy whose Evaluated always
-	// equals the space size — pick it when the per-option report
-	// matters more than latency.
+	// (Equation 6 verbatim): the reference, and the only strategy whose
+	// Evaluated always equals the space size.
 	StrategyExhaustive = "exhaustive"
 
 	// StrategyPruned is the Section III.C level search with the
 	// trie-indexed superset check: SLA-meeting assignments clip all of
-	// their supersets from later levels.
+	// their supersets from later levels. It is kept for the paper's
+	// effort statistics.
 	StrategyPruned = "pruned"
 
-	// StrategyBranchAndBound clips subtrees whose admissible cost
-	// bound cannot beat the incumbent; effective even when the SLA is
-	// unattainable and superset pruning never fires.
-	StrategyBranchAndBound = "branch-and-bound"
+	// StrategyFrontier is the exact dominance DP of frontier.go, the
+	// production strategy: it folds one component per level and keeps
+	// only the prefix states no other state dominates, so its work
+	// follows the number of non-dominated states rather than k^n. It
+	// alone honors an evaluation budget, and it takes spaces up to the
+	// shape ceiling rather than MaxCandidates.
+	StrategyFrontier = "frontier"
 
-	// StrategyParallelPruned is the pruned level search with each
-	// level's walk sharded across GOMAXPROCS workers (work-stealing,
-	// deterministic merge).
-	StrategyParallelPruned = "parallel-pruned"
-
-	// StrategyAuto picks a concrete strategy from the space size, the
-	// budget and a cheap SLA-attainability probe; it is the default
-	// everywhere a strategy is selectable.
+	// StrategyAuto resolves to exhaustive for spaces of at most
+	// autoExhaustiveSpace candidates without an evaluation cap (where
+	// the broker fuses it with the card-pricing pass), and to frontier
+	// otherwise. It is the default everywhere a strategy is selectable.
 	StrategyAuto = "auto"
-
-	// StrategyBeam is the fixed-width level-order beam over the
-	// incremental cursor: approximate, budget-aware, certifying its
-	// optimality gap against the Pareto-relaxation bound (exactly
-	// optimal when the width never dropped a candidate).
-	StrategyBeam = "beam"
-
-	// StrategyLDS is limited-discrepancy search around the greedy
-	// assignment: approximate, budget-aware, strongest when the greedy
-	// ordering is nearly right and a few corrections suffice.
-	StrategyLDS = "lds"
-
-	// StrategyBounded is weighted branch-and-bound with an
-	// ε-admissible clip over the suffix Pareto-frontier bound: a
-	// completed run certifies the incumbent within a (1+ε) factor of
-	// optimal, typically much closer.
-	StrategyBounded = "bounded"
 )
 
-// ApproximateStrategy reports whether the named strategy belongs to
-// the anytime lane: its results are certified incumbents (Result's
-// Approximate/Bound/Gap fields populated) rather than proven optima.
-func ApproximateStrategy(name string) bool {
-	switch name {
-	case StrategyBeam, StrategyLDS, StrategyBounded:
-		return true
-	}
-	return false
+// Retired strategy names. Each is a deprecated alias of frontier: it
+// still validates and runs, and results echo "frontier".
+//
+// Deprecated: name StrategyFrontier (or StrategyAuto) instead.
+const (
+	StrategyBranchAndBound = "branch-and-bound"
+	StrategyParallelPruned = "parallel-pruned"
+	StrategyBeam           = "beam"
+	StrategyLDS            = "lds"
+	StrategyBounded        = "bounded"
+)
+
+// aliases maps each retired strategy name onto the strategy it runs.
+var aliases = map[string]string{
+	StrategyBranchAndBound: StrategyFrontier,
+	StrategyParallelPruned: StrategyFrontier,
+	StrategyBeam:           StrategyFrontier,
+	StrategyLDS:            StrategyFrontier,
+	StrategyBounded:        StrategyFrontier,
 }
+
+// autoExhaustiveSpace is the largest space auto hands to exhaustive:
+// there the broker prices every card anyway, so the fused pass gets
+// the search for free.
+const autoExhaustiveSpace = 1 << 10
 
 // solverFunc adapts a function to the Solver interface.
 type solverFunc struct {
@@ -107,20 +89,6 @@ func (s solverFunc) Solve(ctx context.Context, p *Problem) (Result, error) {
 	return s.fn(ctx, p)
 }
 
-// configSolverFunc adapts a config-aware function to ConfigSolver.
-type configSolverFunc struct {
-	name string
-	fn   func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error)
-}
-
-func (s configSolverFunc) Name() string { return s.name }
-func (s configSolverFunc) Solve(ctx context.Context, p *Problem) (Result, error) {
-	return s.fn(ctx, p, SolverConfig{})
-}
-func (s configSolverFunc) SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-	return s.fn(ctx, p, cfg)
-}
-
 // registry holds the named strategies. The built-ins register at init;
 // RegisterSolver admits additional ones.
 var registry = struct {
@@ -129,55 +97,37 @@ var registry = struct {
 }{m: make(map[string]Solver)}
 
 func init() {
-	mustRegister(solverFunc{StrategyExhaustive, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.ExhaustiveContext(ctx)
-	}})
-	mustRegister(solverFunc{StrategyPruned, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.PrunedContext(ctx)
-	}})
-	mustRegister(solverFunc{StrategyBranchAndBound, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.BranchAndBoundContext(ctx)
-	}})
-	mustRegister(solverFunc{StrategyParallelPruned, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.ParallelPrunedContext(ctx, 0)
-	}})
-	mustRegister(configSolverFunc{StrategyBeam, func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-		return p.beamSearch(ctx, cfg)
-	}})
-	mustRegister(configSolverFunc{StrategyLDS, func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-		return p.ldsSearch(ctx, cfg)
-	}})
-	mustRegister(configSolverFunc{StrategyBounded, func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-		return p.boundedSearch(ctx, cfg)
-	}})
-	mustRegister(autoSolver{})
-}
-
-func mustRegister(s Solver) {
-	if err := RegisterSolver(s); err != nil {
-		panic(err)
+	for _, s := range []solverFunc{
+		{StrategyExhaustive, func(ctx context.Context, p *Problem) (Result, error) { return p.ExhaustiveContext(ctx) }},
+		{StrategyPruned, func(ctx context.Context, p *Problem) (Result, error) { return p.PrunedContext(ctx) }},
+		{StrategyFrontier, func(ctx context.Context, p *Problem) (Result, error) { return p.frontierSearch(ctx, Budget{}) }},
+		{StrategyAuto, func(ctx context.Context, p *Problem) (Result, error) { return Solve(ctx, p, StrategyAuto) }},
+	} {
+		if err := RegisterSolver(s); err != nil {
+			panic(err)
+		}
 	}
 }
 
 // RegisterSolver adds a named strategy to the registry. Registered
-// solvers must either be exact (same optimum as exhaustive) or mark
-// their results Approximate with an admissible Bound, so the brokerage
-// layers can tell a proven optimum from a certified incumbent.
-// Duplicate or empty names are an error.
+// solvers must be exact (same optimum as exhaustive). Duplicate or
+// empty names, and the retired aliases, are an error.
 func RegisterSolver(s Solver) error {
 	if s == nil || s.Name() == "" {
 		return fmt.Errorf("optimize: solver must have a name")
 	}
 	registry.Lock()
 	defer registry.Unlock()
-	if _, dup := registry.m[s.Name()]; dup {
+	_, alias := aliases[s.Name()]
+	if _, dup := registry.m[s.Name()]; dup || alias {
 		return fmt.Errorf("optimize: solver %q already registered", s.Name())
 	}
 	registry.m[s.Name()] = s
 	return nil
 }
 
-// Strategies returns the registered strategy names, sorted.
+// Strategies returns the registered strategy names, sorted. The
+// retired aliases are not listed.
 func Strategies() []string {
 	registry.RLock()
 	defer registry.RUnlock()
@@ -189,22 +139,21 @@ func Strategies() []string {
 	return out
 }
 
-// ValidStrategy reports whether name is registered ("" counts as
-// valid: it means the caller's default, auto).
+// ValidStrategy reports whether name is registered or a retired alias
+// ("" counts as valid: it means the caller's default, auto).
 func ValidStrategy(name string) bool {
-	if name == "" {
-		return true
-	}
-	registry.RLock()
-	defer registry.RUnlock()
-	_, ok := registry.m[name]
-	return ok
+	_, err := solverByName(name)
+	return err == nil
 }
 
-// solverByName resolves a registered strategy; "" resolves to auto.
+// solverByName resolves a registered strategy; "" resolves to auto
+// and a retired alias to the strategy it runs.
 func solverByName(name string) (Solver, error) {
 	if name == "" {
 		name = StrategyAuto
+	}
+	if to, ok := aliases[name]; ok {
+		name = to
 	}
 	registry.RLock()
 	s, ok := registry.m[name]
@@ -216,19 +165,18 @@ func solverByName(name string) (Solver, error) {
 }
 
 // ResolveStrategy reports the concrete solver a Solve call with this
-// strategy would run on the given problem: "" and "auto" resolve
-// through the heuristic (which needs a valid problem shape), anything
-// else echoes the registered name. Layers that can answer a request
-// without a separate solver pass — the broker's fused streaming
-// Recommend when the resolved strategy is exhaustive — use it to make
-// that call before starting the enumeration.
+// strategy would run on the given problem. Layers that can answer a
+// request without a separate solver pass — the broker's fused
+// streaming Recommend when the resolved strategy is exhaustive — use
+// it to make that call before starting the enumeration.
 func ResolveStrategy(p *Problem, strategy string) (string, error) {
 	return ResolveConfig(p, SolverConfig{Strategy: strategy})
 }
 
-// ResolveConfig is ResolveStrategy for a full solver config: the auto
-// heuristic additionally weighs the budget, the approximate-lane knobs
-// and the space size against MaxCandidates.
+// ResolveConfig is ResolveStrategy for a full solver config: "" and
+// "auto" resolve from the space size and the evaluation budget (which
+// needs a valid problem shape), a retired alias resolves to frontier,
+// and anything else echoes the registered name.
 func ResolveConfig(p *Problem, cfg SolverConfig) (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
@@ -237,190 +185,56 @@ func ResolveConfig(p *Problem, cfg SolverConfig) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if auto, ok := s.(autoSolver); ok {
-		if err := p.validateShape(); err != nil {
-			return "", err
-		}
-		s = auto.pickConfig(p, cfg)
+	if s.Name() != StrategyAuto {
+		return s.Name(), nil
 	}
-	return s.Name(), nil
+	if err := p.ValidateShape(); err != nil {
+		return "", err
+	}
+	if p.SpaceSize() <= autoExhaustiveSpace && cfg.Budget.MaxEvaluations == 0 {
+		return StrategyExhaustive, nil
+	}
+	return StrategyFrontier, nil
 }
 
-// Solve runs the named strategy ("" or "auto" lets the heuristic
+// Solve runs the named strategy ("" or "auto" lets ResolveConfig
 // pick) and stamps the result with the concrete strategy that ran. A
 // WithStrategyReport hook on the context hears the resolved name
-// before the enumeration starts, which is how the async job surface
-// echoes the choice into live progress.
+// before the search starts, which is how the async job surface echoes
+// the choice into live progress.
 func Solve(ctx context.Context, p *Problem, strategy string) (Result, error) {
 	return SolveConfig(ctx, p, SolverConfig{Strategy: strategy})
 }
 
-// SolveConfig is Solve for a full solver config: budgets and the
-// approximate-lane knobs reach strategies that implement ConfigSolver
-// directly. For exact strategies a wall budget becomes a context
-// deadline; an explicit exact strategy cannot honor an evaluation cap
-// and is refused (auto under an evaluation cap routes to the
-// approximate lane instead whenever the cap could bind).
+// SolveConfig is Solve under a budget. Frontier honors both budget
+// kinds natively, answering with a certified incumbent when one fires.
+// For the enumerating strategies a wall budget becomes a context
+// deadline, and an evaluation cap is refused: they cannot stop early
+// and still be exact.
 func SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	s, err := solverByName(cfg.Strategy)
+	name, err := ResolveConfig(p, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	auto, isAuto := s.(autoSolver)
-	if isAuto {
-		if err := p.validateShape(); err != nil {
-			return Result{}, err
-		}
-		s = auto.pickConfig(p, cfg)
-	}
-	reportStrategy(ctx, s.Name())
+	reportStrategy(ctx, name)
 	var res Result
-	if cs, ok := s.(ConfigSolver); ok {
-		res, err = cs.SolveConfig(ctx, p, cfg)
+	if name == StrategyFrontier {
+		res, err = p.frontierSearch(ctx, cfg.Budget)
 	} else {
-		if cfg.Budget.MaxEvaluations > 0 && !isAuto {
-			return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use an approximate strategy or auto", s.Name())
+		if cfg.Budget.MaxEvaluations > 0 {
+			return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use frontier or auto", name)
 		}
 		if cfg.Budget.Wall > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, cfg.Budget.Wall)
 			defer cancel()
 		}
+		s, _ := solverByName(name)
 		res, err = s.Solve(ctx, p)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res.Strategy = s.Name()
+	res.Strategy = name
 	return res, nil
-}
-
-// Auto-selection thresholds: unattainable spaces at or below
-// autoSmallSpace go exhaustive (the clip bookkeeping costs more than
-// it saves on a handful of candidates); attainable spaces at or above
-// autoParallelSpace get the sharded level search; under a wall budget,
-// spaces above autoApproximateSpace go to the anytime lane (an exact
-// run that large may not fit an arbitrary deadline, and the
-// approximate lane degrades to a certified incumbent instead of an
-// error when it doesn't).
-const (
-	autoSmallSpace       = 1 << 10
-	autoParallelSpace    = 1 << 15
-	autoApproximateSpace = 1 << 22
-)
-
-// autoSolver picks a concrete strategy from the problem's shape:
-//
-//   - SLA attainable, large space  → parallel-pruned
-//   - SLA attainable, otherwise    → pruned (the paper's Section
-//     III.C search, whose effort statistics the case study reports)
-//   - unattainable, small space    → exhaustive (nothing to prune,
-//     nothing worth bounding)
-//   - unattainable, otherwise      → branch-and-bound (superset
-//     pruning can never fire, but the cost bound still clips)
-//
-// Attainability is probed with a single evaluation of the per-
-// component max-uptime assignment: the serial-chain uptime model is
-// monotone in each component's reliability, so if even that candidate
-// misses the SLA, nothing meets it.
-type autoSolver struct{}
-
-func (autoSolver) Name() string { return StrategyAuto }
-
-func (a autoSolver) Solve(ctx context.Context, p *Problem) (Result, error) {
-	if err := p.validateShape(); err != nil {
-		return Result{}, err
-	}
-	s := a.pickConfig(p, SolverConfig{})
-	res, err := s.Solve(ctx, p)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Strategy = s.Name()
-	return res, nil
-}
-
-// pickConfig resolves the concrete strategy for a shape-validated
-// problem under a config. An explicit approximate knob expresses
-// intent and picks its strategy outright; otherwise the approximate
-// lane answers whenever the exact one cannot — the space exceeds
-// MaxCandidates, an evaluation cap could bind, or a wall budget meets
-// a space too large to promise an exact finish — with beam for
-// attainable SLAs (superset pruning keeps its levels shallow) and
-// bounded for unattainable ones (only the cost bound can clip).
-// Within the exact lane the PR 1–8 rules are unchanged.
-func (a autoSolver) pickConfig(p *Problem, cfg SolverConfig) Solver {
-	switch {
-	case cfg.BeamWidth > 0:
-		return mustSolver(StrategyBeam)
-	case cfg.MaxDiscrepancies > 0:
-		return mustSolver(StrategyLDS)
-	case cfg.Epsilon > 0:
-		return mustSolver(StrategyBounded)
-	}
-	space := p.SpaceSize()
-	approximate := space > MaxCandidates ||
-		(cfg.Budget.MaxEvaluations > 0 && cfg.Budget.MaxEvaluations < int64(space)) ||
-		(cfg.Budget.Wall > 0 && space > autoApproximateSpace)
-	if approximate {
-		if p.slaAttainable() {
-			return mustSolver(StrategyBeam)
-		}
-		return mustSolver(StrategyBounded)
-	}
-	return a.pick(p)
-}
-
-// pick resolves the exact-lane strategy for an already-validated
-// problem within the MaxCandidates cap.
-func (autoSolver) pick(p *Problem) Solver {
-	var name string
-	switch {
-	case !p.slaAttainable():
-		name = StrategyBranchAndBound
-		if p.SpaceSize() <= autoSmallSpace {
-			name = StrategyExhaustive
-		}
-	case p.SpaceSize() >= autoParallelSpace:
-		name = StrategyParallelPruned
-	default:
-		name = StrategyPruned
-	}
-	return mustSolver(name)
-}
-
-// mustSolver resolves a built-in by name; the built-ins cannot be
-// unregistered, so failure is unreachable.
-func mustSolver(name string) Solver {
-	s, err := solverByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// slaAttainable reports whether any candidate meets the SLA, by
-// evaluating the assignment that picks each component's most reliable
-// variant (lowest single-cluster downtime).
-func (p *Problem) slaAttainable() bool {
-	a := make(Assignment, len(p.Components))
-	for i, comp := range p.Components {
-		bestDowntime := 0.0
-		for v, variant := range comp.Variants {
-			sys := availability.System{Clusters: []availability.Cluster{variant.Cluster}}
-			d := sys.Downtime()
-			if v == 0 || d < bestDowntime {
-				a[i] = v
-				bestDowntime = d
-			}
-		}
-	}
-	c, err := p.Evaluate(a)
-	if err != nil {
-		return false
-	}
-	return c.MeetsSLA(p.SLA)
 }

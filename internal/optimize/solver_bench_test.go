@@ -103,7 +103,7 @@ func BenchmarkSupersetPruningDeep(b *testing.B) {
 func BenchmarkSolverStrategies(b *testing.B) {
 	p := slaDenseProblem(19, benchSLA)
 	for _, strategy := range []string{
-		StrategyExhaustive, StrategyPruned, StrategyParallelPruned, StrategyBranchAndBound, StrategyAuto,
+		StrategyExhaustive, StrategyPruned, StrategyFrontier, StrategyAuto,
 	} {
 		b.Run(strategy, func(b *testing.B) {
 			b.ReportAllocs()

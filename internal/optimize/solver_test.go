@@ -4,26 +4,17 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestStrategiesRegistered(t *testing.T) {
-	want := []string{StrategyAuto, StrategyBranchAndBound, StrategyExhaustive, StrategyParallelPruned, StrategyPruned,
-		StrategyBeam, StrategyLDS, StrategyBounded}
-	got := Strategies()
-	for _, name := range want {
-		found := false
-		for _, g := range got {
-			if g == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("strategy %q missing from registry %v", name, got)
-		}
+	want := []string{StrategyAuto, StrategyExhaustive, StrategyFrontier, StrategyPruned}
+	if got := Strategies(); !slices.Equal(got, want) {
+		t.Fatalf("Strategies() = %v, want %v", got, want)
 	}
-	for _, name := range want {
+	for _, name := range append(want, StrategyBranchAndBound, StrategyParallelPruned, StrategyBeam, StrategyLDS, StrategyBounded) {
 		if !ValidStrategy(name) {
 			t.Fatalf("ValidStrategy(%q) = false", name)
 		}
@@ -50,22 +41,18 @@ func TestRegisterSolverRejectsDuplicates(t *testing.T) {
 	if err := RegisterSolver(nil); err == nil {
 		t.Fatal("nil solver should fail")
 	}
+	if err := RegisterSolver(solverFunc{StrategyBeam, nil}); err == nil {
+		t.Fatal("registering over a retired alias should fail")
+	}
 }
 
 // TestSolverEquivalenceOnRandomInstances is the registry-wide
-// exactness guarantee for the exact lane: every non-approximate
-// strategy returns the identical Best/BestNoPenalty on randomized
-// instances. The approximate strategies are exempt by contract —
-// their guarantee is the certified gap, pinned against these same
-// oracles in the anytime tests.
+// exactness guarantee: every strategy returns the identical
+// Best/BestNoPenalty assignments on randomized instances, and its
+// accounting covers the space.
 func TestSolverEquivalenceOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
-	var strategies []string
-	for _, s := range Strategies() {
-		if !ApproximateStrategy(s) {
-			strategies = append(strategies, s)
-		}
-	}
+	strategies := Strategies()
 	for trial := 0; trial < 120; trial++ {
 		p := randomProblem(rng)
 		ref, err := p.Exhaustive()
@@ -130,64 +117,27 @@ func TestIndexedPrunedMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestParallelPrunedMatchesSequentialAccounting asserts the sharded
-// level search is deterministic down to the effort statistics: same
-// Evaluated, same Skipped as the sequential pruned walk.
-func TestParallelPrunedMatchesSequentialAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		p := randomProblem(rng)
-		seq, err := p.Pruned()
-		if err != nil {
-			t.Fatalf("trial %d: Pruned: %v", trial, err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par, err := p.ParallelPrunedContext(context.Background(), workers)
-			if err != nil {
-				t.Fatalf("trial %d: ParallelPruned(%d): %v", trial, workers, err)
-			}
-			if par.Evaluated != seq.Evaluated || par.Skipped != seq.Skipped ||
-				par.CoverLookups != seq.CoverLookups || par.Clipped != seq.Clipped {
-				t.Fatalf("trial %d workers=%d: parallel accounting (ev=%d sk=%d cl=%d clip=%d) != sequential (ev=%d sk=%d cl=%d clip=%d)",
-					trial, workers, par.Evaluated, par.Skipped, par.CoverLookups, par.Clipped,
-					seq.Evaluated, seq.Skipped, seq.CoverLookups, seq.Clipped)
-			}
-			if !equalAssignments(par.Best.Assignment, seq.Best.Assignment) {
-				t.Fatalf("trial %d workers=%d: parallel best %v != sequential %v",
-					trial, workers, par.Best.Assignment, seq.Best.Assignment)
-			}
-			if par.NoPenaltyFound != seq.NoPenaltyFound {
-				t.Fatalf("trial %d workers=%d: NoPenaltyFound diverges", trial, workers)
-			}
-			if seq.NoPenaltyFound && !equalAssignments(par.BestNoPenalty.Assignment, seq.BestNoPenalty.Assignment) {
-				t.Fatalf("trial %d workers=%d: parallel BestNoPenalty %v != sequential %v",
-					trial, workers, par.BestNoPenalty.Assignment, seq.BestNoPenalty.Assignment)
-			}
-		}
-	}
-}
-
 func TestAutoPicksByShape(t *testing.T) {
-	t.Run("attainable small space goes pruned", func(t *testing.T) {
-		// The case-study shape: the paper's Section III.C statistics
-		// come from the pruned search, so auto must keep picking it.
+	t.Run("attainable small space goes exhaustive", func(t *testing.T) {
+		// The case-study shape: the broker fuses exhaustive into its
+		// card-pricing pass, so small spaces get the search for free.
 		res, err := Solve(context.Background(), sampleProblem(), StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyPruned {
-			t.Fatalf("auto on the case-study shape picked %q, want pruned", res.Strategy)
+		if res.Strategy != StrategyExhaustive {
+			t.Fatalf("auto on the case-study shape picked %q, want exhaustive", res.Strategy)
 		}
 	})
-	t.Run("unattainable SLA goes branch-and-bound", func(t *testing.T) {
+	t.Run("unattainable large space goes frontier", func(t *testing.T) {
 		p := bigProblem(12)
 		p.SLA.UptimePercent = 99.9999999 // nothing reaches it
 		res, err := Solve(context.Background(), p, StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyBranchAndBound {
-			t.Fatalf("auto on unattainable SLA picked %q, want branch-and-bound", res.Strategy)
+		if res.Strategy != StrategyFrontier {
+			t.Fatalf("auto on unattainable SLA picked %q, want frontier", res.Strategy)
 		}
 		if res.NoPenaltyFound {
 			t.Fatal("nothing should meet an unattainable SLA")
@@ -204,15 +154,24 @@ func TestAutoPicksByShape(t *testing.T) {
 			t.Fatalf("auto picked %q, want exhaustive", res.Strategy)
 		}
 	})
-	t.Run("attainable large space goes parallel", func(t *testing.T) {
+	t.Run("attainable large space goes frontier", func(t *testing.T) {
 		p := bigProblem(16)
 		p.SLA.UptimePercent = 95
 		res, err := Solve(context.Background(), p, StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyParallelPruned {
-			t.Fatalf("auto picked %q, want parallel-pruned", res.Strategy)
+		if res.Strategy != StrategyFrontier {
+			t.Fatalf("auto picked %q, want frontier", res.Strategy)
+		}
+	})
+	t.Run("evaluation cap goes frontier", func(t *testing.T) {
+		res, err := SolveConfig(context.Background(), sampleProblem(), SolverConfig{Budget: Budget{MaxEvaluations: 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Strategy != StrategyFrontier {
+			t.Fatalf("auto under an evaluation cap picked %q, want frontier", res.Strategy)
 		}
 	})
 	t.Run("empty strategy means auto", func(t *testing.T) {
@@ -220,8 +179,8 @@ func TestAutoPicksByShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyPruned {
-			t.Fatalf("empty strategy resolved to %q, want pruned", res.Strategy)
+		if res.Strategy != StrategyExhaustive {
+			t.Fatalf("empty strategy resolved to %q, want exhaustive", res.Strategy)
 		}
 	})
 }
@@ -240,14 +199,16 @@ func TestSolveReportsResolvedStrategy(t *testing.T) {
 	}
 }
 
+// The retired branch-and-bound and parallel-pruned names run
+// frontier; they keep the cancellation and progress contract of the
+// searches they replaced.
+
 func TestBranchAndBoundContextCancelled(t *testing.T) {
 	p := bigProblem(12)
-	// An unattainable bound keeps the incumbent from clipping the walk
-	// down to nothing before the cancellation poll fires.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.BranchAndBoundContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BranchAndBoundContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := Solve(ctx, p, StrategyBranchAndBound); !errors.Is(err, context.Canceled) {
+		t.Fatalf("branch-and-bound on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -259,7 +220,7 @@ func TestBranchAndBoundReportsProgress(t *testing.T) {
 		calls++
 		last, space = evaluated, spaceSize
 	})
-	res, err := p.BranchAndBoundContext(ctx)
+	res, err := Solve(ctx, p, StrategyBranchAndBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,36 +239,35 @@ func TestParallelPrunedCancelled(t *testing.T) {
 	p := bigProblem(18)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.ParallelPrunedContext(ctx, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelPrunedContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := Solve(ctx, p, StrategyParallelPruned); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parallel-pruned on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
 func TestParallelPrunedReportsProgress(t *testing.T) {
 	p := bigProblem(12)
-	var calls int
-	var mu = make(chan struct{}, 1)
-	var last, space int64
+	var reports []int64
+	var space int64
 	ctx := WithProgress(context.Background(), func(evaluated, spaceSize int64) {
-		mu <- struct{}{}
-		calls++
-		if evaluated > last {
-			last = evaluated
-		}
+		reports = append(reports, evaluated)
 		space = spaceSize
-		<-mu
 	})
-	res, err := p.ParallelPrunedContext(ctx, 4)
+	res, err := Solve(ctx, p, StrategyParallelPruned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("parallel search never reported progress")
+	if len(reports) == 0 {
+		t.Fatal("parallel-pruned never reported progress")
 	}
 	if space != int64(p.SpaceSize()) {
 		t.Fatalf("reported space %d, want %d", space, p.SpaceSize())
 	}
-	if last != int64(res.Evaluated+res.Skipped) {
-		t.Fatalf("max progress %d, want evaluated+skipped = %d", last, res.Evaluated+res.Skipped)
+	for i := 1; i < len(reports); i++ {
+		if reports[i] < reports[i-1] {
+			t.Fatalf("progress went backwards: %v", reports)
+		}
+	}
+	if last := reports[len(reports)-1]; last != int64(res.Evaluated+res.Skipped) {
+		t.Fatalf("final progress %d, want evaluated+skipped = %d", last, res.Evaluated+res.Skipped)
 	}
 }

@@ -41,11 +41,30 @@ func TestTextRendersAllOptions(t *testing.T) {
 		"$1,164.90",
 		"$3,050.00",
 		"savings 61.8%",
-		"8 options, 7 evaluated, 1 pruned",
+		"8 options, 8 evaluated, 0 pruned",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Text output missing %q:\n%s", want, out)
 		}
+	}
+
+	// The paper's Section III.C effort comes from the pruned search
+	// asked for by name.
+	cat := catalog.Default()
+	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat}, broker.WithDefaultStrategy("pruned"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := engine.Recommend(context.Background(), broker.CaseStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	if err := Text(&sb, pruned); err != nil {
+		t.Fatal(err)
+	}
+	if want := "8 options, 7 evaluated, 1 pruned"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("pruned Text output missing %q:\n%s", want, sb.String())
 	}
 }
 

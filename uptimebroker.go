@@ -114,17 +114,16 @@ type (
 	// one from Engine.Compile.
 	Problem = optimize.Problem
 	// SolverResult is a Solver's outcome: the optimum under both
-	// orderings plus effort statistics — and, for the anytime
-	// strategies, the certified bound/gap/optimal certificate.
+	// orderings plus effort statistics — and, for a budget-stopped
+	// frontier run, the certified bound/gap/optimal certificate.
 	SolverResult = optimize.Result
 	// SolverConfig is the nested solver specification carried by
-	// Request.Solver: the strategy plus the anytime lane's budget and
-	// knobs (beam width, discrepancy budget, epsilon). The zero value
+	// Request.Solver: the strategy plus its budget. The zero value
 	// means "auto with no limits".
 	SolverConfig = optimize.SolverConfig
-	// SolverBudget caps a search's wall-clock time and/or candidate
-	// evaluations (SolverConfig.Budget); the approximate strategies
-	// stop at the cap and certify what they have.
+	// SolverBudget caps a search's wall-clock time and/or evaluations
+	// (SolverConfig.Budget); frontier stops at the cap and certifies
+	// its incumbent.
 	SolverBudget = optimize.Budget
 	// Candidate is one fully evaluated deployment option.
 	Candidate = optimize.Candidate
@@ -271,15 +270,22 @@ const (
 // Solver strategy names, selectable per request (Request.Solver /
 // the wire "solver" object, or the deprecated flat "strategy" field),
 // per engine (WithDefaultStrategy), per client (WithStrategy /
-// WithSolverConfig) and per uptimectl invocation (-strategy). The
-// first four are exact — they differ only in latency and effort
-// statistics. Beam, LDS and Bounded are the anytime lane: they honor
-// wall-clock and evaluation budgets and certify the optimality gap of
-// what they return (SearchStats.Bound/Gap/Optimal).
+// WithSolverConfig) and per uptimectl invocation (-strategy). All are
+// exact and differ only in latency and effort statistics. Frontier
+// alone honors an evaluation budget, and when a budget stops it early
+// it certifies the optimality gap of its incumbent
+// (SearchStats.Bound/Gap/Optimal).
 const (
-	StrategyAuto           = optimize.StrategyAuto
-	StrategyExhaustive     = optimize.StrategyExhaustive
-	StrategyPruned         = optimize.StrategyPruned
+	StrategyAuto       = optimize.StrategyAuto
+	StrategyExhaustive = optimize.StrategyExhaustive
+	StrategyPruned     = optimize.StrategyPruned
+	StrategyFrontier   = optimize.StrategyFrontier
+)
+
+// Retired strategy names: deprecated aliases of StrategyFrontier.
+//
+// Deprecated: use StrategyFrontier or StrategyAuto.
+const (
 	StrategyBranchAndBound = optimize.StrategyBranchAndBound
 	StrategyParallelPruned = optimize.StrategyParallelPruned
 	StrategyBeam           = optimize.StrategyBeam
@@ -482,12 +488,12 @@ func WithPollInterval(d time.Duration) ClientOption { return httpapi.WithPollInt
 // it composes with WithSolverConfig and WithBudget.
 func WithStrategy(strategy string) ClientOption { return httpapi.WithStrategy(strategy) }
 
-// WithSolverConfig stamps a default nested solver spec — strategy,
-// budget and anytime knobs — onto every outgoing recommendation-type
+// WithSolverConfig stamps a default nested solver spec — strategy and
+// budget — onto every outgoing recommendation-type
 // request that makes no solver choice of its own.
 func WithSolverConfig(cfg SolverConfigDTO) ClientOption { return httpapi.WithSolverConfig(cfg) }
 
-// WithBudget stamps a default anytime budget (wall-clock cap and/or
+// WithBudget stamps a default search budget (wall-clock cap and/or
 // evaluation cap, zero meaning unlimited) onto every outgoing
 // recommendation-type request that makes no solver choice of its own;
 // it composes with WithStrategy and WithSolverConfig.
@@ -526,12 +532,9 @@ func WireRequest(req Request) RecommendationRequest {
 	}
 	if s := req.Solver; s != (SolverConfig{}) {
 		out.Solver = &SolverConfigDTO{
-			Strategy:         s.Strategy,
-			BudgetMS:         s.Budget.Wall.Milliseconds(),
-			MaxEvaluations:   s.Budget.MaxEvaluations,
-			BeamWidth:        s.BeamWidth,
-			MaxDiscrepancies: s.MaxDiscrepancies,
-			Epsilon:          s.Epsilon,
+			Strategy:       s.Strategy,
+			BudgetMS:       s.Budget.Wall.Milliseconds(),
+			MaxEvaluations: s.Budget.MaxEvaluations,
 		}
 	}
 	return out
