@@ -32,11 +32,11 @@ func BenchmarkOptionCards(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := engine.Recommend(context.Background(), req)
+		cards, _, err := engine.Cards(context.Background(), req, 0, broker.MaxCards)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rec.Cards) != 8 {
+		if len(cards) != 8 {
 			b.Fatal("wrong card count")
 		}
 	}
@@ -214,11 +214,15 @@ func BenchmarkReportText(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cards, _, err := engine.Cards(context.Background(), broker.CaseStudy(), 0, broker.MaxCards)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sb strings.Builder
-		if err := report.Text(&sb, rec); err != nil {
+		if err := report.Text(&sb, rec, cards); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,5 @@
 // Command benchreport runs the repo's named performance-scenario
-// suite (card pricing sequential vs parallel, solver strategies, job
+// suite (incremental evaluation, solver strategies, result cache, job
 // store append/recovery) and emits a schema-versioned JSON report —
 // the BENCH_pr<N>.json files that form the repo's committed
 // performance trajectory and gate CI.
@@ -23,11 +23,10 @@
 // generated on a comparable machine (in practice: by CI itself).
 //
 // -require pins a hard bound on a ratio regardless of any baseline:
-// `-require 'pricing_parallel_speedup_n19>=2@4'` asserts the parallel
-// pricing pass is at least twice as fast as sequential, on hosts with
-// at least 4 schedulable cores (the @PROCS guard skips the check on
-// smaller machines, where the speedup cannot exist); `-require
-// 'frontier_n30_gap<=0'` caps a quality ratio — the optimality gap of
+// `-require 'cache_hit_speedup>=10'` asserts a result-cache hit is at
+// least ten times faster than recomputing the n=19 answer (an @PROCS
+// suffix, e.g. '>=2@4', skips a check on hosts with fewer schedulable
+// cores); `-require 'frontier_n30_gap<=0'` caps a quality ratio — the optimality gap of
 // the budgeted n=30 frontier run — at 0, i.e. an exact answer.
 package main
 

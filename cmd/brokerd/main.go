@@ -5,7 +5,7 @@
 //
 //	brokerd [-addr :8080] [-quiet] [-rate-limit 0] [-rate-limit-per-client 0]
 //	        [-job-ttl 15m] [-job-workers 0] [-data-dir DIR] [-snapshot-interval 1m]
-//	        [-fsync] [-group-commit] [-default-strategy auto] [-pricing auto]
+//	        [-fsync] [-group-commit] [-default-strategy auto]
 //	        [-cache-entries 1024] [-cache-bytes 0] [-cache-ttl 0] [-sse-ping 15s]
 //
 // With -data-dir the async job store is durable: every submission,
@@ -23,12 +23,7 @@
 // -default-strategy picks the solver used for requests that do not
 // name one ("auto", "frontier", "exhaustive" or "pruned"; the retired
 // names still run frontier); individual requests override it with their
-// "strategy" field. -pricing picks how the full card-pricing pass
-// enumerates the k^n options when a request leaves it open: "auto"
-// (the default — parallel only when the host has at least two cores
-// and the space is big enough to amortize the workers), "parallel" or
-// "sequential". The deprecated -parallel-pricing=false spelling still
-// works and maps onto -pricing sequential.
+// "strategy" field.
 //
 // Completed recommendations are cached by content address: a stable
 // hash of the catalog epoch, the telemetry epoch and the normalized
@@ -51,7 +46,9 @@
 //	                                     sets the default cadence)
 //	GET    /v1/metrics                   job + result-cache counters, epochs,
 //	                                     build info
-//	POST   /v1/recommendations           run the brokerage synchronously
+//	POST   /v1/recommendations           run the brokerage synchronously,
+//	                                     listing every option card (at
+//	                                     most 1024; more is answer_too_large)
 //	POST   /v1/pareto                    cost × uptime frontier
 //	GET    /v1/catalog/technologies      list HA mechanisms
 //	GET    /v1/catalog/providers         list clouds and rate cards
@@ -59,7 +56,11 @@
 //	POST   /v1/observations              ingest telemetry
 //	GET    /v1/scenarios                 scenario library
 //	POST   /v1/scenarios/{name}/recommendation
-//	POST   /v2/...                       v2 mirrors of every v1 route, plus:
+//	POST   /v2/...                       v2 mirrors of every v1 route (their
+//	                                     answers carry the best, min-risk and
+//	                                     as-is cards alone), plus:
+//	POST   /v2/recommendations/cards     one page of the option listing
+//	                                     (?offset=, ?limit=)
 //	POST   /v2/jobs                      submit an async recommend/pareto job
 //	GET    /v2/jobs                      list jobs + metrics (?state=, ?limit=)
 //	GET    /v2/jobs/{id}                 poll one job
@@ -117,8 +118,6 @@ func run(args []string) error {
 		fsync           = fs.Bool("fsync", false, "fsync every job WAL append for power-loss durability (with -data-dir)")
 		groupCommit     = fs.Bool("group-commit", false, "fsync durability with concurrent WAL appends coalesced into shared flushes (with -data-dir)")
 		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one: auto (default), frontier, exhaustive or pruned")
-		pricing         = fs.String("pricing", broker.PricingAuto, "card-pricing mode for requests that do not set one: auto, parallel or sequential")
-		parallelPricing = fs.Bool("parallel-pricing", true, "deprecated: use -pricing; false maps to -pricing sequential, true to -pricing parallel")
 		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results (0 disables the result cache)")
 		cacheBytes      = fs.Int64("cache-bytes", 0, "approximate memory budget for cached results in bytes (0 = bounded by -cache-entries only)")
 		cacheTTL        = fs.Duration("cache-ttl", 0, "drop cached results older than this (0 = no expiry; epochs already invalidate on data changes)")
@@ -127,26 +126,6 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	// -pricing wins when both spellings appear; an explicit legacy
-	// -parallel-pricing keeps its old meaning otherwise.
-	pricingMode := *pricing
-	pricingSet, legacySet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "pricing":
-			pricingSet = true
-		case "parallel-pricing":
-			legacySet = true
-		}
-	})
-	if !pricingSet && legacySet {
-		if *parallelPricing {
-			pricingMode = broker.PricingParallel
-		} else {
-			pricingMode = broker.PricingSequential
-		}
 	}
 
 	var logger *log.Logger
@@ -175,7 +154,6 @@ func run(args []string) error {
 	registry := obs.NewRegistry()
 	engineOpts := []broker.EngineOption{
 		broker.WithDefaultStrategy(*defaultStrategy),
-		broker.WithPricing(pricingMode),
 		broker.WithMetricsRegistry(registry),
 	}
 	if *cacheEntries > 0 {

@@ -33,6 +33,10 @@ func runAblation(reps, years int, seed int64) error {
 	if err != nil {
 		return err
 	}
+	cards, err := listCards(engine, req)
+	if err != nil {
+		return err
+	}
 
 	// --- Ablation 1: no failover term (uptime = 1 - B_s only). -------
 	fmt.Println("\n[1] uptime model without the failover term F_s (Eq. 3):")
@@ -40,7 +44,7 @@ func runAblation(reps, years int, seed int64) error {
 	fmt.Fprintln(w, "option\tfull uptime %\tno-Fs uptime %\tTCO full\tTCO no-Fs")
 	bestFull, bestAblated := 0, 0
 	var bestFullTCO, bestAblatedTCO cost.Money
-	for _, card := range rec.Cards {
+	for _, card := range cards {
 		sys, err := systemForCard(problem, card)
 		if err != nil {
 			return err
@@ -64,8 +68,8 @@ func runAblation(reps, years int, seed int64) error {
 
 	// --- Ablation 2: no penalty term in the TCO. ----------------------
 	fmt.Println("\n[2] TCO without the expected-penalty term (Eq. 5 second addend):")
-	cheapest := rec.Cards[0]
-	for _, card := range rec.Cards {
+	cheapest := cards[0]
+	for _, card := range cards {
 		if card.HACost < cheapest.HACost {
 			cheapest = card
 		}
@@ -77,7 +81,7 @@ func runAblation(reps, years int, seed int64) error {
 
 	// --- Ablation 3: independence assumption under shocks. ------------
 	fmt.Println("\n[3] independence assumption vs common-cause shocks (Section IV threat):")
-	asIs := rec.Cards[rec.AsIsOption-1]
+	asIs := cards[rec.AsIsOption-1]
 	sys, err := systemForCard(problem, asIs)
 	if err != nil {
 		return err

@@ -22,6 +22,12 @@ func newEngine() (*broker.Engine, error) {
 	return broker.New(cat, broker.CatalogParams{Catalog: cat})
 }
 
+// listCards lists every option card of a request, in option order.
+func listCards(engine *broker.Engine, req broker.Request) ([]broker.OptionCard, error) {
+	cards, _, err := engine.Cards(context.Background(), req, 0, broker.MaxCards)
+	return cards, err
+}
+
 func header(title string) {
 	fmt.Printf("\n================================================================\n")
 	fmt.Printf("%s\n", title)
@@ -59,13 +65,13 @@ func runOptions() error {
 	if err != nil {
 		return err
 	}
-	rec, err := engine.Recommend(context.Background(), broker.CaseStudy())
+	cards, err := listCards(engine, broker.CaseStudy())
 	if err != nil {
 		return err
 	}
 	w := newTable()
 	fmt.Fprintln(w, "option\tHA selection\tC_HA/mo\tuptime %\tslip h/mo\tpenalty/mo\tTCO/mo\tmeets SLA")
-	for _, c := range rec.Cards {
+	for _, c := range cards {
 		fmt.Fprintf(w, "#%d\t%s\t%s\t%.4f\t%.2f\t%s\t%s\t%v\n",
 			c.Option, c.Label(), c.HACost, c.Uptime*100, c.SlippageHours, c.Penalty, c.TCO, c.MeetsSLA)
 	}
@@ -83,10 +89,14 @@ func runSummary() error {
 	if err != nil {
 		return err
 	}
+	cards, err := listCards(engine, broker.CaseStudy())
+	if err != nil {
+		return err
+	}
 
 	w := newTable()
 	fmt.Fprintln(w, "option\tHA selection\tTCO/mo\tnote")
-	for _, c := range rec.Cards {
+	for _, c := range cards {
 		note := ""
 		switch c.Option {
 		case rec.BestOption:
@@ -103,17 +113,16 @@ func runSummary() error {
 	}
 
 	best := rec.Best()
-	asIs := rec.Cards[rec.AsIsOption-1]
+	asIs := cards[rec.AsIsOption-1]
+	minRisk := cards[rec.MinRiskOption-1]
 	fmt.Printf("\nas-is TCO:        %s/month (option #%d)\n", asIs.TCO, rec.AsIsOption)
 	fmt.Printf("recommended TCO:  %s/month (option #%d, %s)\n", best.TCO, best.Option, best.Label())
 	fmt.Printf("savings:          %.1f%%   (paper reports ≈ 62%%)\n", rec.SavingsFraction*100)
 	fmt.Printf("min-risk option:  #%d (%s) at %s/month, uptime %.4f%%\n",
-		rec.MinRiskOption, rec.Cards[rec.MinRiskOption-1].Label(),
-		rec.Cards[rec.MinRiskOption-1].TCO, rec.Cards[rec.MinRiskOption-1].Uptime*100)
+		rec.MinRiskOption, minRisk.Label(), minRisk.TCO, minRisk.Uptime*100)
 
 	// The Section III.C effort is the pruned level search's, asked for
-	// by name: auto fuses exhaustive into the pricing pass on a space
-	// this small.
+	// by name: auto runs the frontier DP.
 	req := broker.CaseStudy()
 	req.Strategy = optimize.StrategyPruned
 	pruned, err := engine.Recommend(context.Background(), req)
@@ -226,14 +235,14 @@ func runValidate(reps, years int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	rec, err := engine.Recommend(context.Background(), req)
+	cards, err := listCards(engine, req)
 	if err != nil {
 		return err
 	}
 
 	w := newTable()
 	fmt.Fprintln(w, "option\tHA selection\tanalytic uptime %\tsimulated uptime %\t95% CI ±\tagree")
-	for _, card := range rec.Cards {
+	for _, card := range cards {
 		sys, err := systemForCard(problem, card)
 		if err != nil {
 			return err
@@ -289,7 +298,8 @@ func runFuture() error {
 	if err != nil {
 		return err
 	}
-	rec, err := engine.Recommend(context.Background(), broker.FutureWork(catalog.ProviderSoftLayerSim))
+	req := broker.FutureWork(catalog.ProviderSoftLayerSim)
+	rec, err := engine.Recommend(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -298,8 +308,11 @@ func runFuture() error {
 
 	w := newTable()
 	fmt.Fprintln(w, "rank\toption\tHA selection\tTCO/mo\tuptime %")
-	// Top 10 by TCO (selection sort; the slice is small).
-	cards := append([]broker.OptionCard(nil), rec.Cards...)
+	// Top 10 by TCO (selection sort; the listing is small).
+	cards, err := listCards(engine, req)
+	if err != nil {
+		return err
+	}
 	for i := 0; i < len(cards); i++ {
 		for j := i + 1; j < len(cards); j++ {
 			if cards[j].TCO < cards[i].TCO {
@@ -339,8 +352,8 @@ func runHybrid() error {
 		}
 		best := rec.Best()
 		minRisk := "-"
-		if rec.MinRiskOption > 0 {
-			minRisk = fmt.Sprintf("#%d at %s", rec.MinRiskOption, rec.Cards[rec.MinRiskOption-1].TCO)
+		if card, err := rec.Card(rec.MinRiskOption); err == nil {
+			minRisk = fmt.Sprintf("#%d at %s", rec.MinRiskOption, card.TCO)
 		}
 		fmt.Fprintf(w, "%s\t#%d\t%s\t%s\t%.4f\t%s\n",
 			provider, best.Option, best.Label(), best.TCO, best.Uptime*100, minRisk)

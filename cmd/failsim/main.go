@@ -54,17 +54,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec, err := engine.Recommend(context.Background(), req)
+	cards, _, err := engine.Cards(context.Background(), req, 0, broker.MaxCards)
 	if err != nil {
 		return err
 	}
-	if *option < 0 || *option > len(rec.Cards) {
-		return fmt.Errorf("option %d out of range [0, %d]", *option, len(rec.Cards))
+	if *option < 0 || *option > len(cards) {
+		return fmt.Errorf("option %d out of range [0, %d]", *option, len(cards))
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "option\tHA selection\tanalytic %\tsimulated %\t95% CI ±\tbreakdown %\tfailover %\tsim-years")
-	for _, card := range rec.Cards {
+	for _, card := range cards {
 		if *option != 0 && card.Option != *option {
 			continue
 		}

@@ -7,15 +7,16 @@
 // Subcommands:
 //
 //	recommend   submit a recommendation request (-topology file.json or
-//	            -casestudy; -strategy picks the solver, -pricing the
-//	            card-pricing mode; -budget/-max-evaluations cap a
-//	            frontier search, which then answers with a certified
-//	            incumbent; -local -format text|markdown|csv runs the
-//	            brokerage in-process)
+//	            -casestudy; -strategy picks the solver; -budget/
+//	            -max-evaluations cap a frontier search, which then
+//	            answers with a certified incumbent; -local -format
+//	            text|markdown|csv runs the brokerage in-process). Every
+//	            option card is listed, so the space may hold at most
+//	            1024 options; larger ones are answered by job submit.
 //	pareto      print the cost × uptime frontier for a request
 //	job         async brokerage over /v2/jobs:
 //	              job submit -kind recommend|pareto (-topology|-casestudy)
-//	                         [-strategy S] [-pricing M] [-budget D]
+//	                         [-strategy S] [-budget D]
 //	                         [-max-evaluations N] [-wait] [-quiet]
 //	              job status JOB-ID
 //	              job wait   [-quiet] JOB-ID   (streams evaluated/space_size
@@ -113,9 +114,8 @@ func run(args []string) error {
 }
 
 // loadRequest resolves the request from -casestudy / -topology flags;
-// a non-empty strategy or pricing mode overrides whatever the
-// topology file carries.
-func loadRequest(topologyPath string, caseStudy bool, strategy, pricing string) (httpapi.RecommendationRequest, error) {
+// a non-empty strategy overrides whatever the topology file carries.
+func loadRequest(topologyPath string, caseStudy bool, strategy string) (httpapi.RecommendationRequest, error) {
 	var req httpapi.RecommendationRequest
 	switch {
 	case caseStudy:
@@ -134,18 +134,11 @@ func loadRequest(topologyPath string, caseStudy bool, strategy, pricing string) 
 	if strategy != "" {
 		req.Strategy = strategy
 	}
-	if pricing != "" {
-		req.Pricing = pricing
-	}
 	return req, nil
 }
 
-// strategyUsage and pricingUsage document the flags shared by the
-// request subcommands.
-const (
-	strategyUsage = "solver strategy: auto (default), frontier, exhaustive or pruned; the retired branch-and-bound, parallel-pruned, beam, lds and bounded still run frontier"
-	pricingUsage  = "card-pricing mode: auto (server default), parallel or sequential"
-)
+// strategyUsage documents the flag shared by the request subcommands.
+const strategyUsage = "solver strategy: auto (default), frontier, exhaustive or pruned; the retired branch-and-bound, parallel-pruned, beam, lds and bounded still run frontier"
 
 // solverFlags are the search budget shared by recommend, pareto and
 // job submit. They populate the request's nested solver spec only
@@ -182,7 +175,6 @@ func cmdRecommend(ctx context.Context, client *httpapi.Client, args []string) er
 		topologyPath = fs.String("topology", "", "path to a recommendation request JSON file")
 		caseStudy    = fs.Bool("casestudy", false, "use the paper's built-in case study request")
 		strategy     = fs.String("strategy", "", strategyUsage)
-		pricing      = fs.String("pricing", "", pricingUsage)
 		local        = fs.Bool("local", false, "run the brokerage in-process instead of calling a server")
 		format       = fs.String("format", "text", "output format with -local: text, markdown or csv")
 	)
@@ -190,7 +182,7 @@ func cmdRecommend(ctx context.Context, client *httpapi.Client, args []string) er
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req, err := loadRequest(*topologyPath, *caseStudy, *strategy, *pricing)
+	req, err := loadRequest(*topologyPath, *caseStudy, *strategy)
 	if err != nil {
 		return err
 	}
@@ -206,25 +198,30 @@ func cmdRecommend(ctx context.Context, client *httpapi.Client, args []string) er
 	return printRecommendation(resp)
 }
 
-// recommendLocal runs the default in-process engine and renders via
-// the report package.
+// recommendLocal runs the default in-process engine and renders the
+// answer with every option card via the report package.
 func recommendLocal(req httpapi.RecommendationRequest, format string) error {
 	cat := catalog.Default()
 	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat})
 	if err != nil {
 		return err
 	}
-	rec, err := engine.Recommend(context.Background(), req.ToBroker())
+	ctx := context.Background()
+	rec, err := engine.Recommend(ctx, req.ToBroker())
+	if err != nil {
+		return err
+	}
+	cards, _, err := engine.Cards(ctx, req.ToBroker(), 0, rec.Search.SpaceSize)
 	if err != nil {
 		return err
 	}
 	switch format {
 	case "text":
-		return report.Text(os.Stdout, rec)
+		return report.Text(os.Stdout, rec, cards)
 	case "markdown":
-		return report.Markdown(os.Stdout, rec)
+		return report.Markdown(os.Stdout, rec, cards)
 	case "csv":
-		return report.CSV(os.Stdout, rec)
+		return report.CSV(os.Stdout, rec, cards)
 	default:
 		return fmt.Errorf("unknown format %q (text, markdown, csv)", format)
 	}
@@ -236,13 +233,12 @@ func cmdPareto(ctx context.Context, client *httpapi.Client, args []string) error
 		topologyPath = fs.String("topology", "", "path to a recommendation request JSON file")
 		caseStudy    = fs.Bool("casestudy", false, "use the paper's built-in case study request")
 		strategy     = fs.String("strategy", "", strategyUsage)
-		pricing      = fs.String("pricing", "", pricingUsage)
 	)
 	solver := registerSolverFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req, err := loadRequest(*topologyPath, *caseStudy, *strategy, *pricing)
+	req, err := loadRequest(*topologyPath, *caseStudy, *strategy)
 	if err != nil {
 		return err
 	}
@@ -487,7 +483,6 @@ func cmdJob(ctx context.Context, client *httpapi.Client, args []string) error {
 			topologyPath = fs.String("topology", "", "path to a recommendation request JSON file")
 			caseStudy    = fs.Bool("casestudy", false, "use the paper's built-in case study request")
 			strategy     = fs.String("strategy", "", strategyUsage)
-			pricing      = fs.String("pricing", "", pricingUsage)
 			wait         = fs.Bool("wait", false, "block until the job finishes and print its result")
 			quiet        = fs.Bool("quiet", false, "with -wait: suppress the live progress display")
 		)
@@ -495,7 +490,7 @@ func cmdJob(ctx context.Context, client *httpapi.Client, args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		req, err := loadRequest(*topologyPath, *caseStudy, *strategy, *pricing)
+		req, err := loadRequest(*topologyPath, *caseStudy, *strategy)
 		if err != nil {
 			return err
 		}

@@ -39,17 +39,17 @@ func ExampleUptime() {
 	// U_s = 0.9498
 }
 
-// Extracting the cost × uptime frontier from a recommendation.
+// Extracting the cost × uptime frontier from the option listing.
 func ExampleParetoCards() {
 	engine, err := uptimebroker.DefaultEngine()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, err := engine.Recommend(context.Background(), uptimebroker.CaseStudy())
+	cards, _, err := engine.Cards(context.Background(), uptimebroker.CaseStudy(), 0, uptimebroker.MaxCards)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, card := range uptimebroker.ParetoCards(rec.Cards) {
+	for _, card := range uptimebroker.ParetoCards(cards) {
 		fmt.Printf("#%d %s: %s for %.4f%%\n", card.Option, card.Label(), card.HACost, card.Uptime*100)
 	}
 	// Output:
@@ -71,8 +71,12 @@ func ExampleWriteReport() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cards, _, err := engine.Cards(context.Background(), uptimebroker.CaseStudy(), 0, uptimebroker.MaxCards)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var sb strings.Builder
-	if err := uptimebroker.WriteReport(&sb, rec, "csv"); err != nil {
+	if err := uptimebroker.WriteReport(&sb, rec, cards, "csv"); err != nil {
 		log.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

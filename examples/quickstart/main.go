@@ -30,15 +30,14 @@ func main() {
 	fmt.Printf("base architecture: %q on %s\n", rec.System, rec.Provider)
 	fmt.Printf("SLA: %.0f%% uptime, penalty %s/hour\n\n", rec.SLA.UptimePercent, rec.SLA.Penalty.PerHour)
 
-	fmt.Printf("evaluated %d HA permutations\n", rec.Search.SpaceSize)
+	fmt.Printf("searched %d HA permutations\n", rec.Search.SpaceSize)
 	fmt.Printf("recommended: option #%d (%s)\n", best.Option, best.Label())
 	fmt.Printf("  expected uptime:  %.4f%%\n", best.Uptime*100)
 	fmt.Printf("  HA cost:          %s/month\n", best.HACost)
 	fmt.Printf("  expected penalty: %s/month\n", best.Penalty)
 	fmt.Printf("  TCO:              %s/month\n", best.TCO)
 
-	if rec.AsIsOption > 0 {
-		asIs := rec.Cards[rec.AsIsOption-1]
+	if asIs, err := rec.Card(rec.AsIsOption); err == nil {
 		fmt.Printf("\nas-is strategy (option #%d) costs %s/month\n", asIs.Option, asIs.TCO)
 		fmt.Printf("savings: %.1f%%\n", rec.SavingsFraction*100)
 	}

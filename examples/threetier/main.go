@@ -35,11 +35,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	cards, _, err := engine.Cards(context.Background(), req, 0, uptimebroker.MaxCards)
+	if err != nil {
+		return err
+	}
 
 	fmt.Println("== Solution options (Figures 3-9) ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "option\tHA selection\tC_HA/mo\tuptime %\tpenalty/mo\tTCO/mo")
-	for _, c := range rec.Cards {
+	for _, c := range cards {
 		fmt.Fprintf(w, "#%d\t%s\t%s\t%.4f\t%s\t%s\n",
 			c.Option, c.Label(), c.HACost, c.Uptime*100, c.Penalty, c.TCO)
 	}
@@ -51,9 +55,9 @@ func run() error {
 	fmt.Printf("\n== Summary (Figure 10) ==\n")
 	fmt.Printf("recommended: option #%d (%s) at %s/month\n", best.Option, best.Label(), best.TCO)
 	fmt.Printf("min-risk:    option #%d at %s/month\n",
-		rec.MinRiskOption, rec.Cards[rec.MinRiskOption-1].TCO)
+		rec.MinRiskOption, cards[rec.MinRiskOption-1].TCO)
 	fmt.Printf("as-is:       option #%d at %s/month\n",
-		rec.AsIsOption, rec.Cards[rec.AsIsOption-1].TCO)
+		rec.AsIsOption, cards[rec.AsIsOption-1].TCO)
 	fmt.Printf("savings:     %.1f%% (paper: ≈62%%)\n", rec.SavingsFraction*100)
 
 	// Monte-Carlo check of the recommendation: rebuild the recommended

@@ -33,7 +33,7 @@ func TestRunFilteredSubset(t *testing.T) {
 	report, err := Run(Options{
 		Label:     "test",
 		BenchTime: 5 * time.Millisecond,
-		Filter:    regexp.MustCompile(`^pricing/(sequential|parallel)/n=12$|^jobstore/append/nosync$`),
+		Filter:    regexp.MustCompile(`^jobstore/append/(nosync|fsync)$|^solver/frontier/n=19$`),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +49,11 @@ func TestRunFilteredSubset(t *testing.T) {
 			t.Fatalf("scenario %s has empty measurement: %+v", sc.Name, sc)
 		}
 	}
-	if _, ok := report.Ratio("pricing_parallel_speedup_n12"); !ok {
-		t.Fatal("speedup ratio for the completed pair missing")
+	if _, ok := report.Ratio("fsync_cost_x"); !ok {
+		t.Fatal("ratio for the completed pair missing")
 	}
 	if len(report.Ratios) != 1 {
-		t.Fatalf("ratios = %+v, want only the n=12 pricing speedup", report.Ratios)
+		t.Fatalf("ratios = %+v, want only the fsync cost", report.Ratios)
 	}
 }
 
@@ -64,8 +64,8 @@ func TestReportRoundTripAndSchemaGate(t *testing.T) {
 		GoVersion:     "go1.24.0",
 		BenchTime:     "1s",
 		Host:          CurrentHost(),
-		Scenarios:     []Scenario{{Name: "pricing/parallel/n=19", Group: "pricing", Tracked: true, Iterations: 3, NsPerOp: 100}},
-		Ratios:        []Ratio{{Name: "pricing_parallel_speedup_n19", Numerator: "a", Denominator: "b", Value: 2.5, HigherIsBetter: true}},
+		Scenarios:     []Scenario{{Name: "solver/pruned/n=19", Group: "solver", Tracked: true, Iterations: 3, NsPerOp: 100}},
+		Ratios:        []Ratio{{Name: "trie_flat_speedup_n19", Numerator: "a", Denominator: "b", Value: 2.5, HigherIsBetter: true}},
 	}
 	var buf bytes.Buffer
 	if err := r.Encode(&buf); err != nil {
@@ -169,15 +169,15 @@ func TestCompareMissingEntriesWarnBothWays(t *testing.T) {
 }
 
 func TestParseRequirement(t *testing.T) {
-	req, err := ParseRequirement("pricing_parallel_speedup_n19>=2")
+	req, err := ParseRequirement("cache_hit_speedup>=10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Ratio != "pricing_parallel_speedup_n19" || req.Min != 2 || req.MinGOMAXPROCS != 0 {
+	if req.Ratio != "cache_hit_speedup" || req.Min != 10 || req.MinGOMAXPROCS != 0 {
 		t.Fatalf("parsed %+v", req)
 	}
 
-	req, err = ParseRequirement("pricing_parallel_speedup_n19>=2.5@4")
+	req, err = ParseRequirement("cache_hit_speedup>=2.5@4")
 	if err != nil {
 		t.Fatal(err)
 	}

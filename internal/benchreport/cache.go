@@ -23,7 +23,7 @@ import (
 // cacheRequest builds the n-component brokerage request behind the
 // cache scenarios: n compute components restricted to one HA
 // technology each, so the candidate space is the same 2^n shape the
-// pricing and solver scenarios measure — but driven through the full
+// eval and solver scenarios measure — but driven through the full
 // broker entry point the cache fronts.
 func cacheRequest(n int, slaPercent float64) broker.Request {
 	comps := make([]topology.Component, n)
@@ -59,9 +59,9 @@ func cachedEngine() (*broker.Engine, *catalog.Catalog, error) {
 // cacheSpec measures one side of the result cache on the n=19
 // request: hit answers repeated identical requests from memory,
 // miss bumps the catalog epoch before every call so each request is
-// a fresh content address and pays the full compile + pricing +
-// solver pipeline (plus the cache's own keying and insertion — the
-// honest miss cost). The derived cache_hit_speedup ratio is the
+// a fresh content address and pays the full compile + search +
+// answer-card pipeline (plus the cache's own keying and insertion —
+// the honest miss cost). The derived cache_hit_speedup ratio is the
 // headline CI floors on.
 func cacheSpec(hit bool) Spec {
 	mode := "miss"

@@ -128,9 +128,9 @@ func (c *Comparison) add(d Delta) {
 }
 
 // Requirement is a hard bound on a ratio: a floor for speedups (the
-// CI assertion that the n=19 pricing speedup stays at or above 2x on
-// multi-core runners), or a ceiling for quality figures (the n=30
-// frontier gap staying at 0).
+// CI assertion that the result cache answers at least 10x faster than
+// recomputation, optionally only on runners with enough cores), or a
+// ceiling for quality figures (the n=30 frontier gap staying at 0).
 type Requirement struct {
 	// Ratio names the ratio the bound applies to.
 	Ratio string

@@ -1,6 +1,6 @@
 // Package benchreport runs a named suite of performance scenarios —
-// the card-pricing pass sequential vs parallel, the solver
-// strategies, the durable job store's append and recovery paths — and
+// the incremental evaluator, the solver strategies, the result cache,
+// the durable job store's append and recovery paths — and
 // renders the measurements as a schema-versioned, machine-readable
 // JSON report. The committed BENCH_pr<N>.json files form the repo's
 // performance trajectory: one report per PR, regenerated and diffed
@@ -80,10 +80,10 @@ func (h Host) Comparable(o Host) bool {
 // Scenario is one measured workload.
 type Scenario struct {
 	// Name is the stable scenario identifier, e.g.
-	// "pricing/parallel/n=19". Comparisons join on it.
+	// "solver/pruned/n=19". Comparisons join on it.
 	Name string `json:"name"`
 
-	// Group is the subsystem under measurement ("pricing", "solver",
+	// Group is the subsystem under measurement ("eval", "solver",
 	// "jobstore").
 	Group string `json:"group"`
 

@@ -31,52 +31,13 @@ type Spec struct {
 	Extra func() map[string]float64
 }
 
-// pricingProblem builds the n-component instance shared by the
-// pricing and solver scenarios: optimize.BenchProblem at the
-// canonical SLA, the exact shape the optimize package's
-// BenchmarkAllPricing / solver benchmarks measure, so the committed
-// BENCH_*.json trajectory and the in-repo benchmarks stay about the
-// same workload by construction.
-func pricingProblem(n int) *optimize.Problem {
+// benchProblem builds the n-component instance shared by the eval
+// and solver scenarios: optimize.BenchProblem at the canonical SLA,
+// the exact shape the optimize package's solver benchmarks measure,
+// so the committed BENCH_*.json trajectory and the in-repo benchmarks
+// stay about the same workload by construction.
+func benchProblem(n int) *optimize.Problem {
 	return optimize.BenchProblem(n, optimize.BenchSLAPercent)
-}
-
-// pricingSpec builds one card-pricing scenario: the full k^n
-// enumeration, sequential or parallel.
-func pricingSpec(n int, parallel bool) Spec {
-	mode := "sequential"
-	if parallel {
-		mode = "parallel"
-	}
-	return Spec{
-		Name:    fmt.Sprintf("pricing/%s/n=%d", mode, n),
-		Group:   "pricing",
-		Tracked: true,
-		Setup: func(string) (runFunc, func(), error) {
-			p := pricingProblem(n)
-			space := p.SpaceSize()
-			return func(iters int) error {
-				for i := 0; i < iters; i++ {
-					var (
-						cands []optimize.Candidate
-						err   error
-					)
-					if parallel {
-						cands, err = p.ParallelAllContext(context.Background(), 0)
-					} else {
-						cands, err = p.AllContext(context.Background())
-					}
-					if err != nil {
-						return err
-					}
-					if len(cands) != space {
-						return fmt.Errorf("pricing returned %d candidates, want %d", len(cands), space)
-					}
-				}
-				return nil
-			}, func() {}, nil
-		},
-	}
 }
 
 // evalSpec builds the incremental-vs-scratch engine scenario: the
@@ -98,7 +59,7 @@ func evalSpec(incremental bool) Spec {
 		// anchor the ratio, not to be optimized.
 		Tracked: incremental,
 		Setup: func(string) (runFunc, func(), error) {
-			p := pricingProblem(19)
+			p := benchProblem(19)
 			return func(iters int) error {
 				for i := 0; i < iters; i++ {
 					var err error
@@ -117,38 +78,6 @@ func evalSpec(incremental bool) Spec {
 	}
 }
 
-// streamSpec measures the streaming pricing pass: every candidate
-// folded online through StreamContext with O(1) memory — the
-// counterpart of pricing/sequential/n=19's materialized O(k^n) slice,
-// and the engine under broker.Pareto's single-pass rewrite.
-func streamSpec() Spec {
-	return Spec{
-		Name:    "pricing/stream/n=19",
-		Group:   "pricing",
-		Tracked: true,
-		Setup: func(string) (runFunc, func(), error) {
-			p := pricingProblem(19)
-			space := p.SpaceSize()
-			return func(iters int) error {
-				for i := 0; i < iters; i++ {
-					seen := 0
-					err := p.StreamContext(context.Background(), func(*optimize.Cursor) error {
-						seen++
-						return nil
-					})
-					if err != nil {
-						return err
-					}
-					if seen != space {
-						return fmt.Errorf("stream visited %d candidates, want %d", seen, space)
-					}
-				}
-				return nil
-			}, func() {}, nil
-		},
-	}
-}
-
 // solverSpec builds one effort-stats solver scenario on the SLA-dense
 // n=19 instance.
 func solverSpec(strategy string) Spec {
@@ -157,7 +86,7 @@ func solverSpec(strategy string) Spec {
 		Group:   "solver",
 		Tracked: true,
 		Setup: func(string) (runFunc, func(), error) {
-			p := pricingProblem(19)
+			p := benchProblem(19)
 			return func(iters int) error {
 				for i := 0; i < iters; i++ {
 					if _, err := optimize.Solve(context.Background(), p, strategy); err != nil {
@@ -461,10 +390,6 @@ func recoverySpec() Spec {
 // comparisons join on scenario name, not position.
 func Suite() []Spec {
 	specs := []Spec{
-		pricingSpec(12, false), pricingSpec(12, true),
-		pricingSpec(16, false), pricingSpec(16, true),
-		pricingSpec(19, false), pricingSpec(19, true),
-		streamSpec(),
 		evalSpec(false), evalSpec(true),
 		solverSpec(optimize.StrategyPruned),
 		solverSpec(optimize.StrategyFrontier),
@@ -484,11 +409,7 @@ func Suite() []Spec {
 // ratioSpecs are the derived comparisons computed over a run's
 // scenarios. A ratio is emitted only when both scenarios ran.
 var ratioSpecs = []Ratio{
-	{Name: "pricing_parallel_speedup_n12", Numerator: "pricing/sequential/n=12", Denominator: "pricing/parallel/n=12", HigherIsBetter: true},
-	{Name: "pricing_parallel_speedup_n16", Numerator: "pricing/sequential/n=16", Denominator: "pricing/parallel/n=16", HigherIsBetter: true},
-	{Name: "pricing_parallel_speedup_n19", Numerator: "pricing/sequential/n=19", Denominator: "pricing/parallel/n=19", HigherIsBetter: true},
 	{Name: "eval_incremental_speedup_n19", Numerator: "eval/scratch/n=19", Denominator: "eval/incremental/n=19", HigherIsBetter: true},
-	{Name: "pricing_stream_speedup_n19", Numerator: "pricing/sequential/n=19", Denominator: "pricing/stream/n=19", HigherIsBetter: true},
 	{Name: "trie_flat_speedup_n19", Numerator: "solver/pruned-pointer/n=19", Denominator: "solver/pruned/n=19", HigherIsBetter: true},
 	{Name: "trie_checkpoint_speedup_n19", Numerator: "solver/pruned-flat/n=19", Denominator: "solver/pruned/n=19", HigherIsBetter: true},
 	{Name: "trie_flat_deep_speedup_n19", Numerator: "solver/pruned-pointer-deep/n=19", Denominator: "solver/pruned-deep/n=19", HigherIsBetter: true},

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uptimebroker/internal/catalog"
+	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/topology"
 )
 
@@ -41,8 +42,12 @@ func TestRecommendCancelMidRun(t *testing.T) {
 	e := newTestEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	// Auto's frontier answers this shape in milliseconds; the full
+	// 2^24 stream is what a cancel can catch mid-run.
+	req := wideRequest(24)
+	req.Strategy = optimize.StrategyExhaustive
 	go func() {
-		_, err := e.Recommend(ctx, wideRequest(20))
+		_, err := e.Recommend(ctx, req)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)

@@ -3,13 +3,14 @@
 // architecture, an uptime SLA with its slippage penalty, and the
 // broker's cross-cloud knowledge (catalog rate cards plus telemetry
 // parameter estimates), it models every HA-enabled permutation of the
-// base architecture, prices each one's monthly TCO per Equation 5, and
-// recommends the minimum-TCO topology per Equation 6.
+// base architecture, searches their monthly TCO per Equation 5, and
+// recommends the minimum-TCO topology per Equation 6. Any permutation's
+// option card — the content of the paper's Figures 3–9 — is priced on
+// demand.
 package broker
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -139,44 +140,6 @@ type Request struct {
 	// budget kinds and, when one fires, certifies the optimality gap of
 	// its incumbent in SearchStats.
 	Solver optimize.SolverConfig
-
-	// Pricing selects how the full card-pricing pass enumerates the
-	// k^n options: PricingParallel shards it across GOMAXPROCS
-	// workers, PricingSequential prices on one core, PricingAuto lets
-	// the engine pick from the host shape and the space size. Empty
-	// falls back to the engine's configuration (auto unless an engine
-	// option overrides it). Every mode produces byte-identical option
-	// cards; the choice only moves latency.
-	Pricing string
-}
-
-// Pricing modes for the full card-pricing pass (Request.Pricing, the
-// wire "pricing" field).
-const (
-	// PricingParallel shards the k^n enumeration across GOMAXPROCS
-	// workers (optimize.ParallelAllContext).
-	PricingParallel = "parallel"
-
-	// PricingSequential prices every option on one core
-	// (optimize.AllContext).
-	PricingSequential = "sequential"
-
-	// PricingAuto resolves to parallel or sequential from the host
-	// shape: sharding pays only when there is more than one core to
-	// shard across and enough candidates to amortize the worker
-	// scaffolding (on the single-core benchmark host, parallel pricing
-	// measures 0.90–0.98x sequential — pure overhead).
-	PricingAuto = "auto"
-)
-
-// ValidPricing reports whether mode is a known pricing mode (""
-// counts as valid: it means the caller's default).
-func ValidPricing(mode string) bool {
-	switch mode {
-	case "", PricingAuto, PricingParallel, PricingSequential:
-		return true
-	}
-	return false
 }
 
 // Validate reports whether the request is well-formed (catalog
@@ -209,10 +172,6 @@ func (r Request) Validate() error {
 	if err := r.Solver.Validate(); err != nil {
 		return fmt.Errorf("broker: %w", err)
 	}
-	if !ValidPricing(r.Pricing) {
-		return fmt.Errorf("broker: unknown pricing mode %q (choose %q, %q or %q, or leave empty for the engine default)",
-			r.Pricing, PricingAuto, PricingParallel, PricingSequential)
-	}
 	return nil
 }
 
@@ -221,7 +180,6 @@ type Engine struct {
 	catalog         *catalog.Catalog
 	params          ParamSource
 	defaultStrategy string
-	pricing         string
 	cache           *reccache.Cache
 
 	// metrics is the engine's registry attachment (nil when
@@ -243,32 +201,6 @@ func WithDefaultStrategy(strategy string) EngineOption {
 	return func(e *Engine) { e.defaultStrategy = strategy }
 }
 
-// WithPricing sets the card-pricing mode used for requests that do
-// not name one: PricingAuto (the built-in default, which shards the
-// pass across GOMAXPROCS workers only when the host has more than one
-// core and the space is large enough to amortize the workers),
-// PricingParallel or PricingSequential. Every mode produces
-// byte-identical cards; requests override it per call with
-// Request.Pricing. New rejects unknown modes.
-func WithPricing(mode string) EngineOption {
-	return func(e *Engine) { e.pricing = mode }
-}
-
-// WithParallelPricing forces the full card-pricing pass — every one
-// of the k^n option cards, run on each Recommend/Pareto — onto
-// GOMAXPROCS workers (true) or one core (false), overriding the auto
-// default. Kept for callers that predate WithPricing; it is exactly
-// WithPricing(PricingParallel) or WithPricing(PricingSequential).
-func WithParallelPricing(on bool) EngineOption {
-	return func(e *Engine) {
-		if on {
-			e.pricing = PricingParallel
-		} else {
-			e.pricing = PricingSequential
-		}
-	}
-}
-
 // WithResultCache attaches a content-addressed result cache:
 // Recommend and Pareto answer repeated identical requests from it in
 // O(1) and collapse concurrent identical requests into one search.
@@ -288,17 +220,13 @@ func New(cat *catalog.Catalog, params ParamSource, opts ...EngineOption) (*Engin
 	if params == nil {
 		return nil, fmt.Errorf("broker: nil parameter source")
 	}
-	e := &Engine{catalog: cat, params: params, pricing: PricingAuto}
+	e := &Engine{catalog: cat, params: params}
 	for _, opt := range opts {
 		opt(e)
 	}
 	if !optimize.ValidStrategy(e.defaultStrategy) {
 		return nil, fmt.Errorf("broker: unknown default strategy %q (choose from %v)",
 			e.defaultStrategy, optimize.Strategies())
-	}
-	if !ValidPricing(e.pricing) {
-		return nil, fmt.Errorf("broker: unknown pricing mode %q (choose %q, %q or %q)",
-			e.pricing, PricingAuto, PricingParallel, PricingSequential)
 	}
 	e.InstrumentMetrics(e.pendingMetrics)
 	return e, nil
@@ -315,35 +243,6 @@ func (e *Engine) strategyFor(req Request) string {
 		return req.Strategy
 	}
 	return e.defaultStrategy
-}
-
-// autoParallelPricingSpace is the space size below which auto pricing
-// stays sequential even on multi-core hosts: with fewer candidates
-// than this the worker scaffolding costs more than the sharding wins.
-const autoParallelPricingSpace = 1 << 12
-
-// autoParallelPricing decides PricingAuto for a host with procs
-// schedulable cores pricing a space of the given size. Split out pure
-// so tests can probe shapes the test host does not have.
-func autoParallelPricing(procs, space int) bool {
-	return procs >= 2 && space >= autoParallelPricingSpace
-}
-
-// parallelPricingFor resolves the pricing mode for one request: the
-// request's choice, else the engine configuration, with auto resolved
-// from the host shape and the problem's space size.
-func (e *Engine) parallelPricingFor(req Request, space int) bool {
-	mode := req.Pricing
-	if mode == "" {
-		mode = e.pricing
-	}
-	switch mode {
-	case PricingParallel:
-		return true
-	case PricingSequential:
-		return false
-	}
-	return autoParallelPricing(runtime.GOMAXPROCS(0), space)
 }
 
 // Catalog exposes the engine's catalog for read-only use by the HTTP

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,23 @@ func newTestEngine(t *testing.T) *Engine {
 		t.Fatalf("New: %v", err)
 	}
 	return e
+}
+
+// allCards pages through Engine.Cards and returns the request's whole
+// presentation-order listing.
+func allCards(t *testing.T, e *Engine, req Request) []OptionCard {
+	t.Helper()
+	var all []OptionCard
+	for offset := 0; ; offset += MaxCards {
+		page, space, err := e.Cards(context.Background(), req, offset, MaxCards)
+		if err != nil {
+			t.Fatalf("Cards(%d): %v", offset, err)
+		}
+		all = append(all, page...)
+		if offset+MaxCards >= space {
+			return all
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -135,8 +153,9 @@ func TestCaseStudyReproducesPaper(t *testing.T) {
 		t.Fatalf("Recommend: %v", err)
 	}
 
-	if len(rec.Cards) != 8 {
-		t.Fatalf("cards = %d, want 8", len(rec.Cards))
+	cards := allCards(t, e, CaseStudy())
+	if len(cards) != 8 {
+		t.Fatalf("cards = %d, want 8", len(cards))
 	}
 
 	// Paper option numbering: #1 none, #2 network, #3 storage,
@@ -153,7 +172,7 @@ func TestCaseStudyReproducesPaper(t *testing.T) {
 		"compute=esx-ha,storage=raid1,network=dual-gateway",
 	}
 	for i, want := range wantLabels {
-		if got := rec.Cards[i].Label(); got != want {
+		if got := cards[i].Label(); got != want {
 			t.Fatalf("option #%d label = %q, want %q", i+1, got, want)
 		}
 	}
@@ -174,8 +193,19 @@ func TestCaseStudyReproducesPaper(t *testing.T) {
 		t.Fatalf("savings = %.4f, want ≈ 0.62", rec.SavingsFraction)
 	}
 
+	// The answer carries exactly the best, min-risk and as-is cards,
+	// each identical to its listing entry.
+	if len(rec.Cards) != 3 {
+		t.Fatalf("answer carries %d cards, want 3", len(rec.Cards))
+	}
+	for i, option := range []int{3, 5, 8} {
+		if !reflect.DeepEqual(rec.Cards[i], cards[option-1]) {
+			t.Fatalf("answer card %d = %+v, listing #%d = %+v", i, rec.Cards[i], option, cards[option-1])
+		}
+	}
+
 	// As-is TCO equals its HA cost (it exceeds the SLA).
-	asIs := rec.Cards[7]
+	asIs := cards[7]
 	if !asIs.MeetsSLA || asIs.Penalty != 0 {
 		t.Fatalf("as-is card should meet the SLA with zero penalty: %+v", asIs)
 	}
@@ -184,18 +214,18 @@ func TestCaseStudyReproducesPaper(t *testing.T) {
 	}
 
 	// Option #5 meets the SLA, options #1-#4 do not.
-	if !rec.Cards[4].MeetsSLA {
+	if !cards[4].MeetsSLA {
 		t.Fatal("option #5 should meet the 98% SLA")
 	}
 	for i := 0; i < 4; i++ {
-		if rec.Cards[i].MeetsSLA {
+		if cards[i].MeetsSLA {
 			t.Fatalf("option #%d should not meet the SLA", i+1)
 		}
 	}
 
 	// The Section III.C statistics come from the pruned search asked
-	// for by name (auto fuses exhaustive into the pricing pass here):
-	// it must have clipped the #8 superset of #5, and only that.
+	// for by name (auto runs frontier): it must have clipped the #8
+	// superset of #5, and only that.
 	req := CaseStudy()
 	req.Strategy = optimize.StrategyPruned
 	pruned, err := e.Recommend(context.Background(), req)
@@ -214,7 +244,7 @@ func TestRecommendCardInternals(t *testing.T) {
 		t.Fatalf("Recommend: %v", err)
 	}
 
-	for _, card := range rec.Cards {
+	for _, card := range allCards(t, e, CaseStudy()) {
 		if card.TCO != card.HACost+card.Penalty {
 			t.Fatalf("option #%d: TCO %v != HA %v + penalty %v", card.Option, card.TCO, card.HACost, card.Penalty)
 		}
@@ -238,6 +268,9 @@ func TestRecommendCardInternals(t *testing.T) {
 	}
 	if _, err := rec.Card(9); err == nil {
 		t.Fatal("Card(9) should fail")
+	}
+	if _, err := rec.Card(1); err == nil {
+		t.Fatal("Card(1) should fail: option #1 is not part of the answer")
 	}
 	c3, err := rec.Card(3)
 	if err != nil {
@@ -285,8 +318,8 @@ func TestFutureWorkScenario(t *testing.T) {
 	if rec.Search.SpaceSize != want {
 		t.Fatalf("space = %d, want %d", rec.Search.SpaceSize, want)
 	}
-	if len(rec.Cards) != want {
-		t.Fatalf("cards = %d, want %d", len(rec.Cards), want)
+	if cards := allCards(t, e, req); len(cards) != want {
+		t.Fatalf("cards = %d, want %d", len(cards), want)
 	}
 	if rec.BestOption < 1 || rec.BestOption > want {
 		t.Fatalf("BestOption = %d", rec.BestOption)
@@ -404,7 +437,7 @@ func TestRecommendationConsistentWithAvailabilityModel(t *testing.T) {
 	// system using the catalog defaults.
 	cat := catalog.Default()
 	e := newTestEngine(t)
-	rec, err := e.Recommend(context.Background(), CaseStudy())
+	cards, _, err := e.Cards(context.Background(), CaseStudy(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +451,7 @@ func TestRecommendationConsistentWithAvailabilityModel(t *testing.T) {
 		{Name: "network", Nodes: 1, NodeDown: gw.Down, FailuresPerYear: gw.FailuresPerYear},
 	}}
 	want := sys.Uptime()
-	got := rec.Cards[0].Uptime
+	got := cards[0].Uptime
 	if diff := got - want; diff < -1e-12 || diff > 1e-12 {
 		t.Fatalf("card #1 uptime = %v, hand-built = %v", got, want)
 	}
@@ -490,14 +523,14 @@ func TestStrategySelection(t *testing.T) {
 		}
 	})
 
-	t.Run("auto resolves to exhaustive on the case study", func(t *testing.T) {
+	t.Run("auto resolves to frontier on the case study", func(t *testing.T) {
 		e := newTestEngine(t)
 		rec, err := e.Recommend(ctx, CaseStudy())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Search.Strategy != optimize.StrategyExhaustive || rec.Search.Evaluated != 8 {
-			t.Fatalf("Search = %+v, want the fused exhaustive pass over all 8 options", rec.Search)
+		if rec.Search.Strategy != optimize.StrategyFrontier || rec.Search.Evaluated+rec.Search.Skipped != 8 {
+			t.Fatalf("Search = %+v, want a frontier run accounting for all 8 options", rec.Search)
 		}
 	})
 

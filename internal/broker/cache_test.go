@@ -78,14 +78,6 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	if e.cacheKey("recommend", e.normalize(missing)) == baseKey {
 		t.Fatal("dropping a real as-is entry should change the key")
 	}
-
-	// The pricing mode never affects results, so it must not affect
-	// the key either.
-	seq := CaseStudy()
-	seq.Pricing = PricingSequential
-	if got := e.cacheKey("recommend", e.normalize(seq)); got != baseKey {
-		t.Fatal("pricing mode changed the cache key")
-	}
 }
 
 func TestCacheKeySeparatesSemanticDifferences(t *testing.T) {

@@ -63,15 +63,15 @@ func (m *engineMetrics) solverFor(strategy string) *solverMetrics {
 	return s
 }
 
-// observeRun records one completed recommendation: total candidate
-// evaluations across pricing and search, the strategy's search
-// statistics (including superset-index lookups and cover clips), and
-// the run's wall time. One bulk add per run — the per-candidate hot
-// loop stays uninstrumented. Frontier runs additionally publish their
+// observeRun records one completed recommendation: the strategy's
+// search statistics (evaluations, superset-index lookups and cover
+// clips) and the run's wall time. One bulk add per run — the
+// per-candidate hot loop stays uninstrumented. Frontier runs additionally publish their
 // gap — 0 when exact, the certified gap when stopped early (skipped
 // when infinite: a gauge cannot render "no bound proven") — and count
 // budget-stopped runs.
-func (m *engineMetrics) observeRun(stats SearchStats, evaluated int64, seconds float64) {
+func (m *engineMetrics) observeRun(stats SearchStats, seconds float64) {
+	evaluated := int64(stats.Evaluated)
 	m.evaluations.Add(evaluated)
 	s := m.solverFor(stats.Strategy)
 	s.runs.Inc()

@@ -34,11 +34,6 @@ import (
 //     "auto", and written back to BOTH fields — downstream code and
 //     the cache key see a single spelling no matter which alias the
 //     caller used.
-//
-// The pricing mode is deliberately NOT canonicalized into the key
-// material: every mode produces byte-identical results, so requests
-// differing only in pricing share one cache entry (cacheKey skips the
-// field entirely).
 func (e *Engine) normalize(req Request) Request {
 	if len(req.AllowedTechs) > 0 {
 		at := make(map[string][]string, len(req.AllowedTechs))

@@ -45,8 +45,9 @@ func ParetoCards(cards []OptionCard) []OptionCard {
 // Nothing here needs every card: the optimizer's frontier DP returns
 // the cost × uptime frontier from its last level, so the k^n space is
 // never enumerated and the MaxCandidates cap does not apply (the DP's
-// state cap does). The cards are exactly ParetoCards over the full
-// card list, ties to the lowest option number included. Progress
+// state cap does: optimize.ErrFrontierStateCap). The cards are exactly
+// ParetoCards over the full card listing, ties to the lowest option
+// number included. Progress
 // hooks see the single k^n space.
 func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) {
 	c, err := e.compile(req)
@@ -69,16 +70,7 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 	rk := newRanker(c.problem)
 	cards := make([]OptionCard, len(front))
 	for i, cand := range front {
-		cards[i] = OptionCard{
-			Option:        rk.position(cand.Assignment) + 1,
-			Choices:       c.choicesFor(cand.Assignment),
-			HACost:        cand.TCO.HA,
-			Uptime:        cand.Uptime,
-			SlippageHours: req.SLA.SlippageHoursPerMonth(cand.Uptime),
-			Penalty:       cand.TCO.ExpectedPenalty,
-			TCO:           cand.TCO.Total(),
-			MeetsSLA:      cand.MeetsSLA(req.SLA),
-		}
+		cards[i] = c.card(rk, cand)
 	}
 	return cards, nil
 }

@@ -33,9 +33,10 @@ func TestPropertyRecommendationInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Recommend: %v", trial, err)
 		}
+		cards := listing(t, engine, req)
 
-		if len(rec.Cards) != rec.Search.SpaceSize {
-			t.Fatalf("trial %d: %d cards for space %d", trial, len(rec.Cards), rec.Search.SpaceSize)
+		if len(cards) != rec.Search.SpaceSize {
+			t.Fatalf("trial %d: %d cards for space %d", trial, len(cards), rec.Search.SpaceSize)
 		}
 		if rec.Search.Evaluated+rec.Search.Skipped != rec.Search.SpaceSize {
 			t.Fatalf("trial %d: search accounting %d+%d != %d",
@@ -43,10 +44,10 @@ func TestPropertyRecommendationInvariants(t *testing.T) {
 		}
 
 		best := rec.Best()
-		for _, card := range rec.Cards {
+		for i, card := range cards {
 			// Option numbering is 1-based, dense and ordered.
-			if card.Option < 1 || card.Option > len(rec.Cards) {
-				t.Fatalf("trial %d: option %d out of range", trial, card.Option)
+			if card.Option != i+1 {
+				t.Fatalf("trial %d: listing entry %d is option %d", trial, i, card.Option)
 			}
 			// Equation 5 decomposition holds on every card.
 			if card.TCO != card.HACost+card.Penalty {
@@ -66,17 +67,17 @@ func TestPropertyRecommendationInvariants(t *testing.T) {
 
 		// MinRisk is the cheapest SLA-meeting card, when one exists.
 		if rec.MinRiskOption > 0 {
-			minRisk := rec.Cards[rec.MinRiskOption-1]
+			minRisk := cards[rec.MinRiskOption-1]
 			if !minRisk.MeetsSLA {
 				t.Fatalf("trial %d: min-risk option misses the SLA", trial)
 			}
-			for _, card := range rec.Cards {
+			for _, card := range cards {
 				if card.MeetsSLA && card.HACost < minRisk.HACost {
 					t.Fatalf("trial %d: option %d undercuts min-risk", trial, card.Option)
 				}
 			}
 		} else {
-			for _, card := range rec.Cards {
+			for _, card := range cards {
 				if card.MeetsSLA {
 					t.Fatalf("trial %d: option %d meets SLA but MinRiskOption=0", trial, card.Option)
 				}
@@ -84,8 +85,8 @@ func TestPropertyRecommendationInvariants(t *testing.T) {
 		}
 
 		// The frontier is a subset of the cards with the extremes on it.
-		front := broker.ParetoCards(rec.Cards)
-		if len(front) == 0 || len(front) > len(rec.Cards) {
+		front := broker.ParetoCards(cards)
+		if len(front) == 0 || len(front) > len(cards) {
 			t.Fatalf("trial %d: frontier size %d", trial, len(front))
 		}
 	}
@@ -100,10 +101,7 @@ func TestPropertyOptionOrderIsLevelThenLex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := engine.Recommend(context.Background(), broker.FutureWork(catalog.ProviderSoftLayerSim))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cards := listing(t, engine, broker.FutureWork(catalog.ProviderSoftLayerSim))
 	level := func(c broker.OptionCard) int {
 		n := 0
 		for _, ch := range c.Choices {
@@ -113,15 +111,15 @@ func TestPropertyOptionOrderIsLevelThenLex(t *testing.T) {
 		}
 		return n
 	}
-	for i := 1; i < len(rec.Cards); i++ {
-		if level(rec.Cards[i]) < level(rec.Cards[i-1]) {
-			t.Fatalf("cards %d->%d: level decreased", rec.Cards[i-1].Option, rec.Cards[i].Option)
+	for i := 1; i < len(cards); i++ {
+		if level(cards[i]) < level(cards[i-1]) {
+			t.Fatalf("cards %d->%d: level decreased", cards[i-1].Option, cards[i].Option)
 		}
 	}
-	if level(rec.Cards[0]) != 0 {
+	if level(cards[0]) != 0 {
 		t.Fatal("first card is not the no-HA baseline")
 	}
-	if level(rec.Cards[len(rec.Cards)-1]) != len(rec.Cards[0].Choices) {
+	if level(cards[len(cards)-1]) != len(cards[0].Choices) {
 		t.Fatal("last card is not the full-HA option")
 	}
 }

@@ -4,15 +4,12 @@ import (
 	"uptimebroker/internal/optimize"
 )
 
-// ranker computes an assignment's position in the paper's
+// ranker maps between assignments and their positions in the paper's
 // presentation order — ascending number of clustered components,
-// lexicographic within a level — combinatorially, in O(n) per
-// assignment, from two DP tables over the problem shape. It replaces
-// the post-pricing O(k^n log k^n) sort of the materialized candidate
-// slice: the streaming pricing pass writes each option card straight
-// into its presentation slot (and parallel shards write disjoint
-// slots, since positions are unique), so no candidate list, order
-// permutation or sort pass exists anymore.
+// lexicographic within a level — combinatorially, in O(n) each way,
+// from two DP tables over the problem shape. Option numbers are
+// positions plus one, so any card of any space can be named, and
+// built, without enumerating the space.
 type ranker struct {
 	// ways[i][r] is the number of assignments of components i..n-1
 	// with exactly r clustered (non-baseline) components.
@@ -71,4 +68,33 @@ func (r *ranker) position(a optimize.Assignment) int {
 		remaining--
 	}
 	return pos
+}
+
+// unrank inverts position: the assignment at 0-based presentation
+// index pos, which must lie in [0, k^n). It finds pos's level, then
+// fixes the digits left to right, at each one skipping the blocks of
+// completions that order before it — the same counts position adds.
+func (r *ranker) unrank(pos int) optimize.Assignment {
+	n := len(r.ways) - 1
+	level := 0
+	for r.levelOffset[level+1] <= pos {
+		level++
+	}
+	pos -= r.levelOffset[level]
+	a := make(optimize.Assignment, n)
+	remaining := level
+	for i := 0; i < n && remaining > 0; i++ {
+		// Keeping digit i at the baseline leaves every clustered choice
+		// to the suffix (ways is zero when the suffix is too short).
+		base := r.ways[i+1][remaining]
+		if pos < base {
+			continue
+		}
+		pos -= base
+		block := r.ways[i+1][remaining-1]
+		a[i] = 1 + pos/block
+		pos %= block
+		remaining--
+	}
+	return a
 }

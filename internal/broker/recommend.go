@@ -1,9 +1,11 @@
 package broker
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"uptimebroker/internal/cost"
@@ -82,79 +84,17 @@ func (c OptionCard) Plan() Plan {
 }
 
 // WithSearchProgress attaches a live search-progress hook to the
-// context: the enumeration loops underneath Recommend and Pareto
-// report (candidates accounted for, total work) through it on a fixed
-// cadence. Recommend runs two passes — full pricing for the option
-// cards, then the selected solver for the effort statistics — and
-// reports them as one combined space of 2·k^n: the pricing pass
-// covers [0, k^n], the solver pass [k^n, 2·k^n], each clamped to its
-// half, so the bar advances monotonically from zero to done instead
-// of double-counting the space per pass. Parallel passes may invoke
-// the hook concurrently.
+// context: the search underneath Recommend and Pareto reports
+// (candidates accounted for, k^n) through it on a fixed cadence, one
+// monotone pass that ends at k^n.
 func WithSearchProgress(ctx context.Context, fn func(evaluated, spaceSize int64)) context.Context {
 	return optimize.WithProgress(ctx, fn)
 }
 
-// splitProgress re-scopes a caller's WithSearchProgress hook over
-// Recommend's two passes: both returned contexts report into one
-// combined, monotone space of 2·space (pricing first half, solver
-// second half). Without a hook on ctx both passes run on ctx itself.
-func splitProgress(ctx context.Context, space int64) (pricing, solver context.Context) {
-	fn := optimize.ContextProgress(ctx)
-	if fn == nil {
-		return ctx, ctx
-	}
-	total := 2 * space
-	var mu sync.Mutex
-	var high int64
-	report := func(v int64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if v < high {
-			return
-		}
-		high = v
-		fn(v, total)
-	}
-	clamp := func(done int64) int64 {
-		if done < 0 {
-			return 0
-		}
-		if done > space {
-			return space
-		}
-		return done
-	}
-	pricing = optimize.WithProgress(ctx, func(done, _ int64) { report(clamp(done)) })
-	solver = optimize.WithProgress(ctx, func(done, _ int64) { report(space + clamp(done)) })
-	return pricing, solver
-}
-
-// doubleProgress re-scopes a caller's WithSearchProgress hook over the
-// fused single-pass Recommend: the one streaming enumeration covers
-// both halves of the combined 2·space bar (each candidate is priced
-// and searched at once), so reports scale by two and watchers see the
-// same space and completion point as the two-pass shape.
-func doubleProgress(ctx context.Context, space int64) context.Context {
-	fn := optimize.ContextProgress(ctx)
-	if fn == nil {
-		return ctx
-	}
-	total := 2 * space
-	return optimize.WithProgress(ctx, func(done, _ int64) {
-		d := 2 * done
-		if d > total {
-			d = total
-		}
-		fn(d, total)
-	})
-}
-
 // WithStrategyReport attaches a hook that hears which concrete solver
-// strategy the search resolved to — for "auto" requests, the strategy
-// the heuristic picked. It fires once per solver pass, before the
-// enumeration starts, which is how the async job surface echoes the
-// choice into live progress.
+// strategy the search resolved to — for "auto" requests, frontier. It
+// fires once per search, before the search starts, which is how the
+// async job surface echoes the choice into live progress.
 func WithStrategyReport(ctx context.Context, fn func(strategy string)) context.Context {
 	return optimize.WithStrategyReport(ctx, fn)
 }
@@ -210,9 +150,19 @@ type SearchStats struct {
 	BudgetExhausted bool `json:"budget_exhausted,omitempty"`
 }
 
-// Recommendation is the brokerage's answer: every option card plus the
-// two recommendations the paper derives (minimum TCO, and minimum
-// slippage risk) and the savings against the incumbent.
+// MaxCards caps one card listing (Engine.Cards): a v1 response's full
+// list and one v2 page alike. Paper-sized spaces fit whole; the
+// largest built-in scenario compiles to 135 options.
+const MaxCards = 1 << 10
+
+// ErrCardCap reports a card listing longer than MaxCards: the request
+// is valid, but its answer would be too large to list in one piece.
+var ErrCardCap = errors.New("broker: card listing exceeds the card cap")
+
+// Recommendation is the brokerage's answer: the two recommendations
+// the paper derives (minimum TCO, and minimum slippage risk), the
+// incumbent's card and the savings against it. Engine.Cards lists any
+// other option card on demand.
 type Recommendation struct {
 	// System is the base architecture's name.
 	System string `json:"system"`
@@ -223,17 +173,20 @@ type Recommendation struct {
 	// SLA echoes the contractual target.
 	SLA cost.SLA `json:"sla"`
 
-	// Cards lists every solution option in presentation order.
+	// Cards holds the distinct best, min-risk and as-is cards, in
+	// option order.
 	Cards []OptionCard `json:"cards"`
 
 	// BestOption is the 1-based option number with minimum TCO —
-	// Equation 6's OptCh, the broker's recommendation.
+	// Equation 6's OptCh, the broker's recommendation. Ties go to the
+	// lowest option number.
 	BestOption int `json:"best_option"`
 
 	// MinRiskOption is the 1-based option number of the cheapest card
 	// whose expected uptime meets the SLA (zero expected penalty), or 0
 	// when no card meets the SLA. This is the paper's "if the
 	// possibility of slippage penalty is to be minimized" alternative.
+	// Ties go to the lowest option number.
 	MinRiskOption int `json:"min_risk_option"`
 
 	// AsIsOption is the 1-based option number matching the request's
@@ -248,214 +201,190 @@ type Recommendation struct {
 	Search SearchStats `json:"search"`
 }
 
-// Card returns the 1-based option card.
+// Card returns the card of a 1-based option the answer carries: the
+// best, min-risk or as-is option.
 func (r *Recommendation) Card(option int) (OptionCard, error) {
-	if option < 1 || option > len(r.Cards) {
-		return OptionCard{}, fmt.Errorf("broker: option %d out of range [1, %d]", option, len(r.Cards))
+	for _, c := range r.Cards {
+		if c.Option == option {
+			return c, nil
+		}
 	}
-	return r.Cards[option-1], nil
+	return OptionCard{}, fmt.Errorf("broker: option %d is not among the answer's cards (list it with Engine.Cards)", option)
 }
 
 // Best returns the minimum-TCO card.
-func (r *Recommendation) Best() OptionCard { return r.Cards[r.BestOption-1] }
-
-// priceState is one pricing worker's running fold over the candidates
-// it visited: the positions of the best-TCO, cheapest-SLA-meeting and
-// as-is cards. Position ties break toward the lower presentation
-// position, which makes the cross-worker merge deterministic — the
-// folded outcome is identical to a sequential presentation-order scan
-// regardless of how candidates land on workers.
-type priceState struct {
-	bestPos   int
-	bestTCO   cost.Money
-	minRisk   int
-	minRiskHA cost.Money
-	asIs      int
-}
-
-// fold merges another worker's state into s.
-func (s *priceState) fold(o priceState) {
-	if o.bestPos >= 0 && (s.bestPos < 0 || o.bestTCO < s.bestTCO || (o.bestTCO == s.bestTCO && o.bestPos < s.bestPos)) {
-		s.bestPos, s.bestTCO = o.bestPos, o.bestTCO
-	}
-	if o.minRisk >= 0 && (s.minRisk < 0 || o.minRiskHA < s.minRiskHA || (o.minRiskHA == s.minRiskHA && o.minRisk < s.minRisk)) {
-		s.minRisk, s.minRiskHA = o.minRisk, o.minRiskHA
-	}
-	if o.asIs >= 0 {
-		s.asIs = o.asIs
-	}
+func (r *Recommendation) Best() OptionCard {
+	c, _ := r.Card(r.BestOption)
+	return c
 }
 
 // recommend runs the search for one normalized request. The context
-// is observed throughout the compile-enumerate loop: cancelling it
-// aborts the permutation pricing mid-run with ctx.Err(). The exported
-// entry point is Recommend (cache.go), which layers normalization and
-// the result cache on top.
+// is observed throughout: cancelling it aborts the search with
+// ctx.Err(). The exported entry point is Recommend (cache.go), which
+// layers normalization and the result cache on top.
 //
-// The pricing pass streams: each candidate is priced once on the
-// compiled incremental evaluator and written straight into its
-// presentation-order card slot (positions come from the combinatorial
-// ranker, so parallel shards write disjoint slots), with the best-TCO
-// and min-risk incumbents folded online — no materialized candidate
-// slice, no order permutation, no sort pass. When the requested
-// strategy resolves to exhaustive (auto does on spaces of at most 2^10
-// candidates), the search IS the pricing pass, so the solver pass is
-// skipped entirely and its statistics fall out of the stream; any
-// other strategy runs its own search for the effort statistics. Both
-// shapes report one combined monotone progress space of 2·k^n.
+// No card is priced beyond the answer's: the search picks the best
+// and min-risk assignments under the cards' own rule (lowest TCO, or
+// lowest HA cost among SLA-meeting cards, each tie to the lowest
+// option number — see optimize.SolvePresentation), and the as-is card
+// is one Evaluate. So the space is capped only by the search itself:
+// frontier takes any shape up to the optimizer's ceiling, exhaustive
+// and pruned keep optimize.MaxCandidates.
 func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, error) {
 	start := time.Now()
 	c, err := e.compile(req)
 	if err != nil {
 		return nil, err
 	}
-	// The pricing pass holds one card per candidate, so Recommend keeps
-	// the MaxCandidates cap the frontier DP itself does not need.
-	if err := c.problem.Validate(); err != nil {
-		return nil, fmt.Errorf("broker: compiled problem invalid: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	asIsAssignment, err := c.assignmentForPlan(req.AsIs)
+	asIs, err := c.assignmentForPlan(req.AsIs)
 	if err != nil {
 		return nil, err
 	}
 	cfg := req.Solver
 	cfg.Strategy = e.strategyFor(req)
-	resolved, err := optimize.ResolveConfig(c.problem, cfg)
+	rec, err := c.recommend(ctx, cfg, asIs)
 	if err != nil {
 		return nil, err
 	}
+	rec.System, rec.Provider = req.Base.Name, req.Base.Provider
+	if m := e.metrics.Load(); m != nil {
+		m.observeRun(rec.Search, time.Since(start).Seconds())
+	}
+	return rec, nil
+}
 
-	space := c.problem.SpaceSize()
-	cards := make([]OptionCard, space)
+// recommend searches the compiled space and builds the answer's cards;
+// asIs is the incumbent's assignment, or nil.
+func (c *compiled) recommend(ctx context.Context, cfg optimize.SolverConfig, asIs optimize.Assignment) (*Recommendation, error) {
+	res, err := optimize.SolvePresentation(ctx, c.problem, cfg)
+	if err != nil {
+		return nil, err
+	}
 	rk := newRanker(c.problem)
-
-	// fork hands each pricing worker its own fold state; the states
-	// are merged once the stream (and with it every worker) is done.
-	var mu sync.Mutex
-	var states []*priceState
-	fork := func() func(*optimize.Cursor) error {
-		st := &priceState{bestPos: -1, minRisk: -1, asIs: -1}
-		mu.Lock()
-		states = append(states, st)
-		mu.Unlock()
-		return func(cur *optimize.Cursor) error {
-			a := cur.Assignment()
-			pos := rk.position(a)
-			tco := cur.TCO()
-			uptime := cur.Uptime()
-			total := tco.Total()
-			meets := cur.MeetsSLA()
-			cards[pos] = OptionCard{
-				Option:        pos + 1,
-				Choices:       c.choicesFor(a),
-				HACost:        tco.HA,
-				Uptime:        uptime,
-				SlippageHours: req.SLA.SlippageHoursPerMonth(uptime),
-				Penalty:       tco.ExpectedPenalty,
-				TCO:           total,
-				MeetsSLA:      meets,
-			}
-			if st.bestPos < 0 || total < st.bestTCO || (total == st.bestTCO && pos < st.bestPos) {
-				st.bestPos, st.bestTCO = pos, total
-			}
-			if meets && (st.minRisk < 0 || tco.HA < st.minRiskHA || (tco.HA == st.minRiskHA && pos < st.minRisk)) {
-				st.minRisk, st.minRiskHA = pos, tco.HA
-			}
-			if asIsAssignment != nil && sameAssignment(a, asIsAssignment) {
-				st.asIs = pos
-			}
-			return nil
-		}
-	}
-	runPricing := func(pctx context.Context) error {
-		if e.parallelPricingFor(req, space) {
-			return c.problem.ParallelStreamContext(pctx, 0, fork)
-		}
-		return c.problem.StreamContext(pctx, fork())
-	}
-
+	best := c.card(rk, res.Best)
 	rec := &Recommendation{
-		System:   req.Base.Name,
-		Provider: req.Base.Provider,
-		SLA:      req.SLA,
-		Cards:    cards,
-		Search:   SearchStats{SpaceSize: space},
+		SLA:        c.problem.SLA,
+		Cards:      []OptionCard{best},
+		BestOption: best.Option,
+		Search: SearchStats{
+			SpaceSize:       c.problem.SpaceSize(),
+			Evaluated:       res.Evaluated,
+			Skipped:         res.Skipped,
+			CoverLookups:    res.CoverLookups,
+			Clipped:         res.Clipped,
+			Strategy:        res.Strategy,
+			Approximate:     res.Approximate,
+			Bound:           res.Bound,
+			Gap:             res.Gap,
+			Optimal:         res.Optimal,
+			BudgetExhausted: res.BudgetExhausted,
+		},
 	}
-
-	fused := resolved == optimize.StrategyExhaustive && cfg.Budget.IsZero()
-	if fused {
-		// Fused: the exhaustive search is the pricing pass, so one
-		// streaming enumeration serves both and its statistics are
-		// known by construction. Progress maps onto the combined 2·k^n
-		// space watchers already expect, and the strategy hook still
-		// hears the resolved choice. A budgeted run takes the two-pass
-		// shape instead, so SolveConfig owns the budget semantics
-		// (deadline for exact strategies, refusal of an evaluation cap).
-		optimize.ReportStrategy(ctx, resolved)
-		if err := runPricing(doubleProgress(ctx, int64(space))); err != nil {
-			return nil, err
-		}
-		rec.Search.Evaluated = space
-		rec.Search.Strategy = resolved
-	} else {
-		pricingCtx, solverCtx := splitProgress(ctx, int64(space))
-		if err := runPricing(pricingCtx); err != nil {
-			return nil, err
-		}
-		searched, err := optimize.SolveConfig(solverCtx, c.problem, cfg)
+	if res.NoPenaltyFound {
+		minRisk := c.card(rk, res.BestNoPenalty)
+		rec.MinRiskOption = minRisk.Option
+		rec.addCard(minRisk)
+	}
+	if asIs != nil {
+		cand, err := c.problem.Evaluate(asIs)
 		if err != nil {
 			return nil, err
 		}
-		rec.Search.Evaluated = searched.Evaluated
-		rec.Search.Skipped = searched.Skipped
-		rec.Search.CoverLookups = searched.CoverLookups
-		rec.Search.Clipped = searched.Clipped
-		rec.Search.Strategy = searched.Strategy
-		rec.Search.Approximate = searched.Approximate
-		rec.Search.Bound = searched.Bound
-		rec.Search.Gap = searched.Gap
-		rec.Search.Optimal = searched.Optimal
-		rec.Search.BudgetExhausted = searched.BudgetExhausted
-	}
-
-	merged := priceState{bestPos: -1, minRisk: -1, asIs: -1}
-	for _, st := range states {
-		merged.fold(*st)
-	}
-
-	rec.BestOption = merged.bestPos + 1
-	if merged.minRisk >= 0 {
-		rec.MinRiskOption = merged.minRisk + 1
-	}
-	if merged.asIs >= 0 {
-		rec.AsIsOption = merged.asIs + 1
-	}
-	// Savings against the incumbent. Two edges are pinned to exactly
-	// zero rather than left to the division: the incumbent already
-	// being the optimum (recommending what the customer runs saves
-	// nothing, and float noise must not report otherwise), and a
-	// zero-TCO incumbent (nothing to save from; the ratio would be
-	// undefined).
-	if rec.AsIsOption > 0 && rec.AsIsOption != rec.BestOption {
-		asIs := cards[rec.AsIsOption-1]
-		if asIs.TCO > 0 {
-			rec.SavingsFraction = 1 - float64(cards[merged.bestPos].TCO)/float64(asIs.TCO)
+		card := c.card(rk, cand)
+		rec.AsIsOption = card.Option
+		rec.addCard(card)
+		// Savings against the incumbent. Two edges are pinned to
+		// exactly zero rather than left to the division: the incumbent
+		// already being the optimum (recommending what the customer
+		// runs saves nothing, and float noise must not report
+		// otherwise), and a zero-TCO incumbent (nothing to save from;
+		// the ratio would be undefined).
+		if card.Option != best.Option && card.TCO > 0 {
+			rec.SavingsFraction = 1 - float64(best.TCO)/float64(card.TCO)
 		}
-	}
-	if m := e.metrics.Load(); m != nil {
-		// One bulk observation per run (the pricing pass plus, for
-		// pruning strategies, the solver's own evaluations) — the
-		// per-candidate loop above stays uninstrumented by design.
-		evals := int64(space)
-		if !fused {
-			evals += int64(rec.Search.Evaluated)
-		}
-		m.observeRun(rec.Search, evals, time.Since(start).Seconds())
 	}
 	return rec, nil
+}
+
+// addCard inserts a card in option order unless the answer already
+// carries its option.
+func (r *Recommendation) addCard(card OptionCard) {
+	i, found := slices.BinarySearchFunc(r.Cards, card.Option, func(c OptionCard, option int) int {
+		return cmp.Compare(c.Option, option)
+	})
+	if !found {
+		r.Cards = slices.Insert(r.Cards, i, card)
+	}
+}
+
+// Cards lists the option cards at presentation positions [offset,
+// offset+limit) of the request's space — option numbers offset+1
+// onward — together with the space size. Each card is built on demand
+// by unranking its position and evaluating that one assignment, so a
+// page costs O(limit·n) whatever the space. A page past the end is
+// empty; limit may not exceed MaxCards (ErrCardCap). The request is
+// validated exactly as Recommend validates it, as-is plan included,
+// but no search runs and nothing is cached.
+func (e *Engine) Cards(ctx context.Context, req Request, offset, limit int) ([]OptionCard, int, error) {
+	if offset < 0 || limit < 0 {
+		return nil, 0, fmt.Errorf("broker: negative card offset %d or limit %d", offset, limit)
+	}
+	if limit > MaxCards {
+		return nil, 0, fmt.Errorf("%w: %d cards requested, at most %d per listing", ErrCardCap, limit, MaxCards)
+	}
+	req = e.normalize(req)
+	c, err := e.compile(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	if _, err := c.assignmentForPlan(req.AsIs); err != nil {
+		return nil, 0, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	cards, err := c.cards(offset, limit)
+	if err != nil {
+		return nil, 0, err
+	}
+	return cards, c.problem.SpaceSize(), nil
+}
+
+// cards builds the cards at presentation positions [offset,
+// offset+limit), clipped to the space.
+func (c *compiled) cards(offset, limit int) ([]OptionCard, error) {
+	end := c.problem.SpaceSize()
+	if offset < end && limit < end-offset {
+		end = offset + limit
+	}
+	rk := newRanker(c.problem)
+	var cards []OptionCard
+	for pos := offset; pos < end; pos++ {
+		cand, err := c.problem.Evaluate(rk.unrank(pos))
+		if err != nil {
+			return nil, err
+		}
+		cards = append(cards, c.card(rk, cand))
+	}
+	return cards, nil
+}
+
+// card builds the option card of a priced candidate.
+func (c *compiled) card(rk *ranker, cand optimize.Candidate) OptionCard {
+	sla := c.problem.SLA
+	return OptionCard{
+		Option:        rk.position(cand.Assignment) + 1,
+		Choices:       c.choicesFor(cand.Assignment),
+		HACost:        cand.TCO.HA,
+		Uptime:        cand.Uptime,
+		SlippageHours: sla.SlippageHoursPerMonth(cand.Uptime),
+		Penalty:       cand.TCO.ExpectedPenalty,
+		TCO:           cand.TCO.Total(),
+		MeetsSLA:      cand.MeetsSLA(sla),
+	}
 }
 
 // choicesFor maps an assignment back to component/tech pairs.
@@ -501,16 +430,4 @@ func haCount(a optimize.Assignment) int {
 		}
 	}
 	return n
-}
-
-func sameAssignment(a, b optimize.Assignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

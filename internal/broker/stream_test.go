@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"uptimebroker/internal/catalog"
@@ -11,14 +12,14 @@ import (
 )
 
 // TestParetoMatchesParetoCards pins the frontier DP's cards against
-// the reference: Engine.Pareto must return exactly
-// ParetoCards(rec.Cards) — same options, same order, same numbers —
-// without ever enumerating the space. The cases cover the case study
-// under SLA shifts (which move the dominating cards), every provider
-// on both the restricted and the open catalog, the five-tier scenario,
-// and the tie-heavy symmetric shapes up to n=16. (n=18 is pinned
-// against a streaming reference in the optimize package: its full
-// card list alone would hold ~0.7 GB under the race detector.)
+// the reference: Engine.Pareto must return exactly ParetoCards over
+// the full Engine.Cards listing — same options, same order, same
+// numbers — without ever enumerating the space. The cases cover the
+// case study under SLA shifts (which move the dominating cards), every
+// provider on both the restricted and the open catalog, the five-tier
+// scenario, and the tie-heavy symmetric shapes up to n=16. (n=18 is
+// pinned against a streaming reference in the optimize package: its
+// full listing alone would hold ~0.7 GB under the race detector.)
 func TestParetoMatchesParetoCards(t *testing.T) {
 	e := newTestEngine(t)
 	reqs := []Request{CaseStudy()}
@@ -39,12 +40,7 @@ func TestParetoMatchesParetoCards(t *testing.T) {
 	}
 
 	for i, req := range reqs {
-		rec, err := e.Recommend(context.Background(), req)
-		if err != nil {
-			t.Fatalf("req %d: Recommend: %v", i, err)
-		}
-		want := ParetoCards(rec.Cards)
-		rec = nil // the full card list is only the reference
+		want := ParetoCards(allCards(t, e, req))
 		got, err := e.Pareto(context.Background(), req)
 		if err != nil {
 			t.Fatalf("req %d: Pareto: %v", i, err)
@@ -55,57 +51,46 @@ func TestParetoMatchesParetoCards(t *testing.T) {
 	}
 }
 
-// TestRecommendFusedExhaustiveMatchesTwoPass compares the fused
-// single-pass shape (strategy exhaustive: the pricing stream is the
-// search) against the two-pass shape (pruned): identical cards and
-// summary, with the fused stats pinned to the full space.
-func TestRecommendFusedExhaustiveMatchesTwoPass(t *testing.T) {
+// TestRecommendExhaustiveMatchesPruned pins the three search paths
+// behind Recommend to one answer: exhaustive (the presentation-order
+// stream), pruned (frontier beside the level search) and auto
+// (frontier) give identical cards and summary on the case study and
+// its SLA shifts, each with its own statistics, and every strategy
+// hook hears the strategy that ran.
+func TestRecommendExhaustiveMatchesPruned(t *testing.T) {
 	e := newTestEngine(t)
-
-	fusedReq := CaseStudy()
-	fusedReq.Strategy = optimize.StrategyExhaustive
-	fused, err := e.Recommend(context.Background(), fusedReq)
-	if err != nil {
-		t.Fatalf("fused Recommend: %v", err)
-	}
-
-	twoPassReq := CaseStudy()
-	twoPassReq.Strategy = optimize.StrategyPruned
-	twoPass, err := e.Recommend(context.Background(), twoPassReq)
-	if err != nil {
-		t.Fatalf("two-pass Recommend: %v", err)
-	}
-
-	if fused.Search.Strategy != optimize.StrategyExhaustive {
-		t.Fatalf("fused strategy = %q, want exhaustive", fused.Search.Strategy)
-	}
-	if fused.Search.Evaluated != fused.Search.SpaceSize || fused.Search.Skipped != 0 {
-		t.Fatalf("fused stats = %d evaluated / %d skipped, want %d / 0",
-			fused.Search.Evaluated, fused.Search.Skipped, fused.Search.SpaceSize)
-	}
-	if len(fused.Cards) != len(twoPass.Cards) {
-		t.Fatalf("fused %d cards, two-pass %d", len(fused.Cards), len(twoPass.Cards))
-	}
-	for i := range fused.Cards {
-		f, p := fused.Cards[i], twoPass.Cards[i]
-		if f.Option != p.Option || f.Label() != p.Label() || f.HACost != p.HACost ||
-			f.Uptime != p.Uptime || f.Penalty != p.Penalty || f.TCO != p.TCO || f.MeetsSLA != p.MeetsSLA {
-			t.Fatalf("card %d diverges between fused and two-pass:\n  fused    %+v\n  two-pass %+v", i, f, p)
+	for _, sla := range []float64{90, 96, 98, 99.9} {
+		req := CaseStudy()
+		req.SLA.UptimePercent = sla
+		var recs []*Recommendation
+		for _, strategy := range []string{optimize.StrategyExhaustive, optimize.StrategyPruned, optimize.StrategyAuto} {
+			r := req
+			r.Strategy = strategy
+			var reported string
+			ctx := WithStrategyReport(context.Background(), func(s string) { reported = s })
+			rec, err := e.Recommend(ctx, r)
+			if err != nil {
+				t.Fatalf("sla %v, %s: %v", sla, strategy, err)
+			}
+			if reported != rec.Search.Strategy {
+				t.Fatalf("sla %v, %s: hook heard %q, stats say %q", sla, strategy, reported, rec.Search.Strategy)
+			}
+			recs = append(recs, rec)
 		}
-	}
-	if fused.BestOption != twoPass.BestOption || fused.MinRiskOption != twoPass.MinRiskOption ||
-		fused.SavingsFraction != twoPass.SavingsFraction {
-		t.Fatalf("summary diverges: fused %+v, two-pass %+v", fused, twoPass)
-	}
-
-	// The fused pass still reports the resolved strategy to hooks.
-	var reported string
-	ctx := WithStrategyReport(context.Background(), func(s string) { reported = s })
-	if _, err := e.Recommend(ctx, fusedReq); err != nil {
-		t.Fatal(err)
-	}
-	if reported != optimize.StrategyExhaustive {
-		t.Fatalf("fused pass reported strategy %q, want exhaustive", reported)
+		ex, pr, auto := recs[0], recs[1], recs[2]
+		if ex.Search.Strategy != optimize.StrategyExhaustive || ex.Search.Evaluated != 8 || ex.Search.Skipped != 0 {
+			t.Fatalf("sla %v: exhaustive stats %+v, want 8 evaluated of 8", sla, ex.Search)
+		}
+		if pr.Search.Strategy != optimize.StrategyPruned || auto.Search.Strategy != optimize.StrategyFrontier {
+			t.Fatalf("sla %v: strategies %q and %q, want pruned and frontier", sla, pr.Search.Strategy, auto.Search.Strategy)
+		}
+		for _, other := range []*Recommendation{pr, auto} {
+			a, b := *ex, *other
+			a.Search, b.Search = SearchStats{}, SearchStats{}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("sla %v: %s answer diverges from exhaustive:\n  %+v\n  %+v", sla, other.Search.Strategy, b, a)
+			}
+		}
 	}
 }
 
@@ -127,7 +112,6 @@ func TestParetoRejectsInexpressibleAsIs(t *testing.T) {
 func TestParetoProgressSinglePass(t *testing.T) {
 	e := newTestEngine(t)
 	req := CaseStudy()
-	req.Pricing = PricingSequential
 
 	var evals, spaces []int64
 	ctx := WithSearchProgress(context.Background(), func(evaluated, spaceSize int64) {
@@ -142,7 +126,7 @@ func TestParetoProgressSinglePass(t *testing.T) {
 	}
 	for i, s := range spaces {
 		if s != 8 {
-			t.Fatalf("report %d: space = %d, want 8 (single pricing pass)", i, s)
+			t.Fatalf("report %d: space = %d, want 8 (one pass)", i, s)
 		}
 	}
 	for i := 1; i < len(evals); i++ {
@@ -152,5 +136,43 @@ func TestParetoProgressSinglePass(t *testing.T) {
 	}
 	if final := evals[len(evals)-1]; final != 8 {
 		t.Fatalf("final progress = %d, want 8", final)
+	}
+}
+
+// TestRecommendProgressSinglePass: whatever the strategy, Recommend
+// reports progress over the single k^n space, monotonically, ending
+// exactly at k^n.
+func TestRecommendProgressSinglePass(t *testing.T) {
+	e := newTestEngine(t)
+	for _, strategy := range []string{optimize.StrategyExhaustive, optimize.StrategyPruned, optimize.StrategyFrontier} {
+		req := wideRequest(10)
+		req.Strategy = strategy
+		var mu sync.Mutex
+		var evals, spaces []int64
+		ctx := WithSearchProgress(context.Background(), func(evaluated, spaceSize int64) {
+			mu.Lock()
+			defer mu.Unlock()
+			evals = append(evals, evaluated)
+			spaces = append(spaces, spaceSize)
+		})
+		if _, err := e.Recommend(ctx, req); err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if len(evals) == 0 {
+			t.Fatalf("%s: progress hook never fired", strategy)
+		}
+		for i, s := range spaces {
+			if s != 1<<10 {
+				t.Fatalf("%s: report %d: space = %d, want %d", strategy, i, s, 1<<10)
+			}
+		}
+		for i := 1; i < len(evals); i++ {
+			if evals[i] < evals[i-1] {
+				t.Fatalf("%s: progress went backwards at %d: %d after %d", strategy, i, evals[i], evals[i-1])
+			}
+		}
+		if final := evals[len(evals)-1]; final != 1<<10 {
+			t.Fatalf("%s: final progress = %d, want %d", strategy, final, 1<<10)
+		}
 	}
 }

@@ -64,7 +64,6 @@ type Client struct {
 	backoff  time.Duration
 	pollBase time.Duration
 	solver   *SolverConfigDTO
-	pricing  string
 }
 
 // ClientOption customizes NewClient.
@@ -150,28 +149,16 @@ func WithStrategy(strategy string) ClientOption {
 	}
 }
 
-// WithPricing sets a default card-pricing mode ("parallel",
-// "sequential" or "auto") stamped onto every outgoing
-// recommendation-type request that does not set one itself. A
-// per-request Pricing field always wins; the server default remains
-// auto (parallel only when the host shape pays for it).
-func WithPricing(mode string) ClientOption {
-	return func(c *Client) { c.pricing = mode }
-}
-
-// withDefaults returns req with the client's default solver spec and
-// pricing mode applied where the request leaves the choice open. The
-// solver default applies wholesale or not at all: a request that names
-// a flat strategy or carries any nested spec already made its choice,
-// and half-merging a client budget under it would change semantics the
+// withDefaults returns req with the client's default solver spec
+// applied where the request leaves the choice open. The default
+// applies wholesale or not at all: a request that names a flat
+// strategy or carries any nested spec already made its choice, and
+// half-merging a client budget under it would change semantics the
 // caller spelled out.
 func (c *Client) withDefaults(req RecommendationRequest) RecommendationRequest {
 	if req.Strategy == "" && req.Solver == nil && c.solver != nil {
 		cfg := *c.solver
 		req.Solver = &cfg
-	}
-	if req.Pricing == "" {
-		req.Pricing = c.pricing
 	}
 	return req
 }
@@ -315,10 +302,24 @@ func (c *Client) streamMetrics(ctx context.Context, interval time.Duration, fn f
 	return false, nil
 }
 
-// Recommend submits a synchronous recommendation request.
+// Recommend submits a synchronous recommendation request over v1: the
+// response lists every option card. Spaces of more than
+// broker.MaxCards options are refused with answer_too_large; their
+// answer comes from SubmitJob or RecommendBatch, their cards from
+// Cards.
 func (c *Client) Recommend(ctx context.Context, req RecommendationRequest) (RecommendationResponse, error) {
 	var out RecommendationResponse
 	err := c.do(ctx, http.MethodPost, "/v1/recommendations", c.withDefaults(req), &out)
+	return out, err
+}
+
+// Cards fetches one page of a request's option listing: up to limit
+// cards (at most broker.MaxCards) from 0-based presentation position
+// offset on.
+func (c *Client) Cards(ctx context.Context, req RecommendationRequest, offset, limit int) (CardPageResponse, error) {
+	var out CardPageResponse
+	path := fmt.Sprintf("/v2/recommendations/cards?offset=%d&limit=%d", offset, limit)
+	err := c.do(ctx, http.MethodPost, path, c.withDefaults(req), &out)
 	return out, err
 }
 

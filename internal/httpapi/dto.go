@@ -56,14 +56,6 @@ type RecommendationRequest struct {
 	// mistyped budget knob must not turn a bounded run into an
 	// unbounded one.
 	Solver *SolverConfigDTO `json:"solver,omitempty"`
-
-	// Pricing optionally selects how the full card-pricing pass
-	// enumerates the k^n options: "parallel" (shard across the
-	// server's cores), "sequential", or "auto" (the default: parallel
-	// only when the host has the cores and the space the size to pay
-	// for it). Every mode produces byte-identical cards; the choice
-	// only moves latency.
-	Pricing string `json:"pricing,omitempty"`
 }
 
 // ToBroker converts the wire request to the domain request.
@@ -76,7 +68,6 @@ func (r RecommendationRequest) ToBroker() broker.Request {
 		},
 		AllowedTechs: r.AllowedTechs,
 		Strategy:     r.Strategy,
-		Pricing:      r.Pricing,
 	}
 	if r.Solver != nil {
 		req.Solver = r.Solver.ToOptimize()
@@ -223,6 +214,8 @@ type SearchStatsDTO struct {
 }
 
 // RecommendationResponse is the wire form of broker.Recommendation.
+// Cards holds the distinct best, min-risk and as-is cards in option
+// order; the v1 routes list every option there instead.
 type RecommendationResponse struct {
 	System         string          `json:"system"`
 	Provider       string          `json:"provider"`
@@ -259,17 +252,37 @@ func fromCard(c broker.OptionCard) OptionCardDTO {
 	}
 }
 
+// fromCards converts option cards to wire form (never nil, so an
+// empty list encodes as []).
+func fromCards(cards []broker.OptionCard) []OptionCardDTO {
+	out := make([]OptionCardDTO, len(cards))
+	for i, c := range cards {
+		out[i] = fromCard(c)
+	}
+	return out
+}
+
+// CardPageResponse is the body of POST /v2/recommendations/cards: one
+// page of a request's option listing in presentation order.
+type CardPageResponse struct {
+	// Cards are the options numbered Offset+1 onward; fewer than the
+	// page's limit only at the end of the space.
+	Cards []OptionCardDTO `json:"cards"`
+
+	// Offset echoes the page's 0-based start.
+	Offset int `json:"offset"`
+
+	// SpaceSize is k^n, the listing's full length.
+	SpaceSize int `json:"space_size"`
+}
+
 // FromRecommendation converts a domain recommendation to wire form.
 func FromRecommendation(rec *broker.Recommendation) RecommendationResponse {
-	cards := make([]OptionCardDTO, len(rec.Cards))
-	for i, c := range rec.Cards {
-		cards[i] = fromCard(c)
-	}
 	return RecommendationResponse{
 		System:         rec.System,
 		Provider:       rec.Provider,
 		SLAPercent:     rec.SLA.UptimePercent,
-		Cards:          cards,
+		Cards:          fromCards(rec.Cards),
 		BestOption:     rec.BestOption,
 		MinRiskOption:  rec.MinRiskOption,
 		AsIsOption:     rec.AsIsOption,

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -59,7 +60,7 @@ func TestParetoBadRequests(t *testing.T) {
 }
 
 // TestParetoWideShapeExactOverHTTP: /v2/pareto answers the symmetric
-// n=30 shape — 2^30 candidates, 16x past the cap Recommend enforces —
+// n=30 shape — 2^30 candidates, 16x past the cap exhaustive enforces —
 // exactly: n+1 cards, one per clustered count, each matching the
 // closed form (every assignment on a level prices alike, so n+1
 // Evaluate calls give every level's HA cost and uptime).
@@ -87,8 +88,11 @@ func TestParetoWideShapeExactOverHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&front); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Recommend(context.Background(), req); err == nil {
-		t.Fatal("Recommend accepted a 2^30 space; its pricing pass keeps the cap")
+	// v1 lists every card, so it refuses the space; v2 answers it (see
+	// TestV2RecommendsN30Exactly).
+	var apiErr *APIError
+	if _, err := client.Recommend(context.Background(), req); !errors.As(err, &apiErr) || apiErr.Code != CodeAnswerTooLarge {
+		t.Fatalf("v1 Recommend on a 2^30 space = %v, want answer_too_large", err)
 	}
 
 	cat := catalog.Default()

@@ -339,9 +339,8 @@ func TestWaitJobWithProgress(t *testing.T) {
 		if p.JobID != job.ID {
 			t.Fatalf("update %d for job %q, want %q", i, p.JobID, job.ID)
 		}
-		// Recommend jobs report one combined progress space covering
-		// both passes (pricing + solver): 2 · k^n.
-		if p.SpaceSize == 1<<14 {
+		// Recommend jobs report one pass over the k^n space.
+		if p.SpaceSize == 1<<13 {
 			sawSpace = true
 		}
 		if f := p.Fraction(); f < 0 || f > 1 {

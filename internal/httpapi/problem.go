@@ -30,6 +30,7 @@ const (
 	CodeRestartLost       = "restart_lost"        // job was mid-run when the broker restarted
 	CodeStoreDegraded     = "store_degraded"      // job store latched read-only after a storage failure
 	CodeLoadShed          = "load_shed"           // queue wait over the bound; retry later
+	CodeAnswerTooLarge    = "answer_too_large"    // valid request whose answer exceeds a size cap
 )
 
 // Problem is the RFC 9457 error body used on every non-2xx response,
@@ -77,6 +78,7 @@ var problemTitles = map[string]string{
 	CodeUnavailable:       "Service unavailable",
 	CodeStoreDegraded:     "Job store degraded to read-only",
 	CodeLoadShed:          "Server shedding load",
+	CodeAnswerTooLarge:    "Answer too large",
 }
 
 // NewProblem builds a Problem for a code/status/detail triple.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"uptimebroker/internal/jobs"
 	"uptimebroker/internal/jobstore"
 	"uptimebroker/internal/obs"
+	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/scenario"
 	"uptimebroker/internal/telemetry"
 )
@@ -320,18 +322,22 @@ func NewServer(engine *broker.Engine, store *telemetry.Store, logger *log.Logger
 	mux.HandleFunc("GET /v2/metrics/events", s.handleMetricsEvents)
 
 	// v1: the original synchronous surface, now thin wrappers over
-	// the same context-aware handlers v2 uses.
-	mux.HandleFunc("POST /v1/recommendations", s.handleRecommend)
+	// the same context-aware handlers v2 uses. Its recommendations
+	// list every option card, up to broker.MaxCards of them.
+	mux.HandleFunc("POST /v1/recommendations", s.handleRecommendV1)
 	mux.HandleFunc("POST /v1/pareto", s.handlePareto)
 	mux.HandleFunc("GET /v1/catalog/technologies", s.handleTechnologies)
 	mux.HandleFunc("GET /v1/catalog/providers", s.handleProviders)
 	mux.HandleFunc("GET /v1/params", s.handleParams)
 	mux.HandleFunc("POST /v1/observations", s.handleObservation)
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
-	mux.HandleFunc("POST /v1/scenarios/{name}/recommendation", s.handleScenarioRecommend)
+	mux.HandleFunc("POST /v1/scenarios/{name}/recommendation", s.handleScenarioRecommendV1)
 
-	// v2: same synchronous routes plus the job-oriented additions.
+	// v2: same synchronous routes, answering with the best, min-risk
+	// and as-is cards and paging the rest, plus the job-oriented
+	// additions.
 	mux.HandleFunc("POST /v2/recommendations", s.handleRecommend)
+	mux.HandleFunc("POST /v2/recommendations/cards", s.handleCards)
 	mux.HandleFunc("POST /v2/pareto", s.handlePareto)
 	mux.HandleFunc("GET /v2/catalog/technologies", s.handleTechnologies)
 	mux.HandleFunc("GET /v2/catalog/providers", s.handleProviders)
@@ -512,19 +518,98 @@ func cacheStatusContext(w http.ResponseWriter, r *http.Request) (context.Context
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req RecommendationRequest
+	if s.decodeBody(w, r, &req) {
+		s.answer(w, r, req.ToBroker(), false)
+	}
+}
+
+func (s *Server) handleRecommendV1(w http.ResponseWriter, r *http.Request) {
+	var req RecommendationRequest
+	if s.decodeBody(w, r, &req) {
+		s.answer(w, r, req.ToBroker(), true)
+	}
+}
+
+// answer runs the brokerage for a recommendation route and writes the
+// response. With all set — the v1 routes — the response lists every
+// option card, refusing spaces of more than broker.MaxCards options;
+// the v2 routes answer with the best, min-risk and as-is cards alone.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, req broker.Request, all bool) {
+	s.markDegraded(w)
+	ctx, cacheStatus := cacheStatusContext(w, r)
+	var cards []broker.OptionCard
+	if all {
+		var space int
+		var err error
+		cards, space, err = s.engine.Cards(ctx, req, 0, broker.MaxCards)
+		if err == nil && space > broker.MaxCards {
+			err = fmt.Errorf("%w: v1 lists all %d options of this space, at most %d; use /v2/recommendations and page /v2/recommendations/cards",
+				broker.ErrCardCap, space, broker.MaxCards)
+		}
+		if err != nil {
+			s.engineProblem(w, r, err)
+			return
+		}
+	}
+	rec, err := s.engine.Recommend(ctx, req)
+	if err != nil {
+		s.engineProblem(w, r, err)
+		return
+	}
+	resp := FromRecommendation(rec)
+	if all {
+		resp.Cards = fromCards(cards)
+	}
+	resp.Cache = *cacheStatus
+	s.writeJSON(w, r, http.StatusOK, resp)
+}
+
+// handleCards implements POST /v2/recommendations/cards: one page of
+// the request's option listing, from ?offset= (default 0) for ?limit=
+// cards (default and maximum broker.MaxCards).
+func (s *Server) handleCards(w http.ResponseWriter, r *http.Request) {
+	offset, limit := 0, broker.MaxCards
+	for _, p := range []struct {
+		name string
+		dst  *int
+	}{{"offset", &offset}, {"limit", &limit}} {
+		if v := r.URL.Query().Get(p.name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				s.problem(w, r, CodeInvalidRequest, http.StatusBadRequest,
+					fmt.Sprintf("%s %q is not a non-negative integer", p.name, v))
+				return
+			}
+			*p.dst = n
+		}
+	}
+	var req RecommendationRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	s.markDegraded(w)
-	ctx, cacheStatus := cacheStatusContext(w, r)
-	rec, err := s.engine.Recommend(ctx, req.ToBroker())
+	cards, space, err := s.engine.Cards(r.Context(), req.ToBroker(), offset, limit)
 	if err != nil {
-		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
+		s.engineProblem(w, r, err)
 		return
 	}
-	resp := FromRecommendation(rec)
-	resp.Cache = *cacheStatus
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, CardPageResponse{Cards: fromCards(cards), Offset: offset, SpaceSize: space})
+}
+
+// engineCode classifies an engine failure: a valid request whose
+// answer is too large to compute or list exactly (the frontier DP's
+// state cap, the card cap) is answer_too_large, anything else the
+// request's own fault.
+func engineCode(err error) string {
+	if errors.Is(err, optimize.ErrFrontierStateCap) || errors.Is(err, broker.ErrCardCap) {
+		return CodeAnswerTooLarge
+	}
+	return CodeInvalidRequest
+}
+
+// engineProblem writes an engine failure as a 422 problem.
+func (s *Server) engineProblem(w http.ResponseWriter, r *http.Request, err error) {
+	s.problem(w, r, engineCode(err), http.StatusUnprocessableEntity, err.Error())
 }
 
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
@@ -538,14 +623,10 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	ctx, _ := cacheStatusContext(w, r)
 	front, err := s.engine.Pareto(ctx, req.ToBroker())
 	if err != nil {
-		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
+		s.engineProblem(w, r, err)
 		return
 	}
-	out := make([]OptionCardDTO, len(front))
-	for i, c := range front {
-		out[i] = fromCard(c)
-	}
-	s.writeJSON(w, r, http.StatusOK, out)
+	s.writeJSON(w, r, http.StatusOK, fromCards(front))
 }
 
 // handleMetrics implements GET /v1/metrics and /v2/metrics: job
@@ -690,6 +771,16 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleScenarioRecommend(w http.ResponseWriter, r *http.Request) {
+	s.scenarioAnswer(w, r, false)
+}
+
+func (s *Server) handleScenarioRecommendV1(w http.ResponseWriter, r *http.Request) {
+	s.scenarioAnswer(w, r, true)
+}
+
+// scenarioAnswer answers a built-in scenario like a recommendation
+// route (see answer).
+func (s *Server) scenarioAnswer(w http.ResponseWriter, r *http.Request, all bool) {
 	provider := r.URL.Query().Get("provider")
 	if provider == "" {
 		provider = catalog.ProviderSoftLayerSim
@@ -699,14 +790,5 @@ func (s *Server) handleScenarioRecommend(w http.ResponseWriter, r *http.Request)
 		s.problem(w, r, CodeNotFound, http.StatusNotFound, err.Error())
 		return
 	}
-	s.markDegraded(w)
-	ctx, cacheStatus := cacheStatusContext(w, r)
-	rec, err := s.engine.Recommend(ctx, sc.Request)
-	if err != nil {
-		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	resp := FromRecommendation(rec)
-	resp.Cache = *cacheStatus
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.answer(w, r, sc.Request, all)
 }

@@ -24,10 +24,9 @@ func TestStrategySelectableEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// On the case study's eight options auto fuses exhaustive into the
-	// card-pricing pass.
-	if base.Search.Strategy != optimize.StrategyExhaustive {
-		t.Fatalf("default strategy echoed %q, want exhaustive", base.Search.Strategy)
+	// Auto runs frontier on every space.
+	if base.Search.Strategy != optimize.StrategyFrontier {
+		t.Fatalf("default strategy echoed %q, want frontier", base.Search.Strategy)
 	}
 
 	for strategy, echo := range map[string]string{

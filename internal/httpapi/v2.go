@@ -133,7 +133,7 @@ func fromJob(snap jobs.Snapshot, withResult bool) JobDTO {
 		dto.Result = snap.Result
 	}
 	if snap.Err != nil {
-		code := CodeInvalidRequest
+		code := engineCode(snap.Err)
 		switch {
 		case errors.Is(snap.Err, jobs.ErrRestartLost):
 			code = CodeRestartLost
@@ -177,11 +177,7 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 			if err != nil {
 				return nil, err
 			}
-			out := make([]OptionCardDTO, len(front))
-			for i, c := range front {
-				out[i] = fromCard(c)
-			}
-			return out, nil
+			return fromCards(front), nil
 		}
 	default:
 		return nil, fmt.Errorf("unknown job kind %q (want %q or %q)", kind, JobKindRecommend, JobKindPareto)
@@ -490,7 +486,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, item := range items {
 		dto := BatchItemDTO{Index: item.Index}
 		if item.Err != nil {
-			code := CodeInvalidRequest
+			code := engineCode(item.Err)
 			if errors.Is(item.Err, context.Canceled) || errors.Is(item.Err, context.DeadlineExceeded) {
 				code = CodeCancelled
 			}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,7 +49,7 @@ func wideWireRequest(n int) RecommendationRequest {
 }
 
 func TestJobLifecycleRecommend(t *testing.T) {
-	_, client, _ := newTestServer(t)
+	ts, client, _ := newTestServer(t)
 	ctx := context.Background()
 
 	job, err := client.SubmitJob(ctx, JobKindRecommend, caseStudyWire())
@@ -71,12 +72,10 @@ func TestJobLifecycleRecommend(t *testing.T) {
 		t.Fatalf("Recommendation: %v", err)
 	}
 
-	// The async answer must match the synchronous one exactly.
-	want, err := client.Recommend(ctx, caseStudyWire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.BestOption != want.BestOption || len(got.Cards) != len(want.Cards) || got.SavingsPercent != want.SavingsPercent {
+	// The async answer must match the synchronous v2 one exactly.
+	var want RecommendationResponse
+	decodeResponse(t, postJSON(t, ts, "/v2/recommendations", caseStudyWire()), &want)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("async result diverges from sync: %+v vs %+v", got, want)
 	}
 }
@@ -543,10 +542,22 @@ func TestV1V2RecommendationParity(t *testing.T) {
 		return out
 	}
 
-	v1 := fetch("/v1/recommendations")
-	v2 := fetch("/v2/recommendations")
-	if !bytes.Equal(v1, v2) {
-		t.Fatalf("v1 and v2 /recommendations bodies diverge:\nv1: %s\nv2: %s", v1, v2)
+	// v1 lists every card; v2 carries the best, min-risk and as-is
+	// cards alone, identical to their v1 entries. Everything else is
+	// the same answer.
+	var v1, v2 RecommendationResponse
+	if err := json.Unmarshal(fetch("/v1/recommendations"), &v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(fetch("/v2/recommendations"), &v2); err != nil {
+		t.Fatal(err)
+	}
+	if want := []OptionCardDTO{v1.Cards[2], v1.Cards[4], v1.Cards[7]}; !reflect.DeepEqual(v2.Cards, want) {
+		t.Fatalf("v2 cards %+v, want v1's #3, #5, #8", v2.Cards)
+	}
+	v1.Cards, v2.Cards = nil, nil
+	if !reflect.DeepEqual(v1, v2) {
+		t.Fatalf("v1 and v2 answers diverge:\nv1: %+v\nv2: %+v", v1, v2)
 	}
 }
 

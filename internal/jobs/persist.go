@@ -30,9 +30,9 @@ const (
 )
 
 // maxPersistResultBytes caps how large a serialized result the
-// journal accepts. A single wide enumeration (2^19 option cards ≈
-// half a gigabyte of JSON) would otherwise dominate the WAL and every
-// snapshot, and stall recovery parsing it back. Results over the cap
+// journal accepts. One huge result (a wide heterogeneous frontier's
+// cards, say) would otherwise dominate the WAL and every snapshot,
+// and stall recovery parsing it back. Results over the cap
 // stay fetchable from the incarnation that computed them; after a
 // restart the job reports a failure explaining the eviction.
 const maxPersistResultBytes = 8 << 20

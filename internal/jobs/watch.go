@@ -106,9 +106,9 @@ func (s *Store) SetStrategy(id, strategy string) {
 }
 
 // Progress records enumeration progress for a running job and fans it
-// out to watchers. Updates are monotonic — a phase that re-enumerates
-// a prefix of the space (the effort-stats solver after the exhaustive
-// card pricing) cannot move the bar backwards. Journal writes are
+// out to watchers. Updates are monotonic — a report that arrives late
+// or re-enumerates a prefix of the space cannot move the bar
+// backwards. Journal writes are
 // throttled to progressJournalShards per job so a hot enumeration
 // loop does not bloat the WAL.
 func (s *Store) Progress(id string, evaluated, spaceSize int64) {

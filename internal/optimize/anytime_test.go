@@ -227,6 +227,24 @@ func TestAnytimeBudgets(t *testing.T) {
 			t.Fatalf("%+v: budgeted run took %v", b, elapsed)
 		}
 	}
+
+	// On small spaces Greedy re-prices more assignments than exist; the
+	// fallback must still count each priced assignment once, in both
+	// tie orders.
+	rng := rand.New(rand.NewSource(23))
+	cfg := SolverConfig{Strategy: StrategyFrontier, Budget: Budget{MaxEvaluations: 1}}
+	for trial := 0; trial < 500; trial++ {
+		p := randomProblem(rng)
+		for _, solve := range []func(context.Context, *Problem, SolverConfig) (Result, error){SolveConfig, SolvePresentation} {
+			res, err := solve(context.Background(), p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if space := p.SpaceSize(); res.Evaluated > space || res.Evaluated+res.Skipped != space {
+				t.Fatalf("trial %d: evaluated %d + skipped %d, space %d", trial, res.Evaluated, res.Skipped, space)
+			}
+		}
+	}
 }
 
 // TestFrontierStateCap: a level that outgrows the state cap stops the
@@ -243,8 +261,25 @@ func TestFrontierStateCap(t *testing.T) {
 	if !res.Approximate || res.BudgetExhausted {
 		t.Fatalf("capped run: approximate %v, budget exhausted %v", res.Approximate, res.BudgetExhausted)
 	}
-	if _, err := p.ParetoContext(context.Background()); !errors.Is(err, errFrontierStateCap) {
-		t.Fatalf("capped ParetoContext = %v, want errFrontierStateCap", err)
+	if _, err := p.ParetoContext(context.Background()); !errors.Is(err, ErrFrontierStateCap) {
+		t.Fatalf("capped ParetoContext = %v, want ErrFrontierStateCap", err)
+	}
+
+	// An exact strategy named beside a capped DP still answers exactly:
+	// the answer falls back to the full presentation-order stream.
+	ref, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: StrategyExhaustive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: StrategyPruned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pruned.Approximate || !equalAssignments(pruned.Best.Assignment, ref.Best.Assignment) ||
+		!equalAssignments(pruned.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment) {
+		t.Fatalf("capped pruned answer %v/%v (approximate %v), stream %v/%v",
+			pruned.Best.Assignment, pruned.BestNoPenalty.Assignment, pruned.Approximate,
+			ref.Best.Assignment, ref.BestNoPenalty.Assignment)
 	}
 }
 
@@ -344,41 +379,33 @@ func TestSolverConfigValidation(t *testing.T) {
 	}
 }
 
-// TestResolveConfigRouting pins auto: exhaustive up to
-// autoExhaustiveSpace candidates without an evaluation cap, frontier
-// otherwise; retired names resolve to frontier and explicit names
-// echo.
+// TestResolveConfigRouting pins auto: frontier on every space, with or
+// without a budget; retired names resolve to frontier and explicit
+// names echo.
 func TestResolveConfigRouting(t *testing.T) {
-	wide := BenchProblem(BenchWideN, BenchSLAWidePercent)
-	small := BenchProblem(10, BenchSLAPercent) // exactly autoExhaustiveSpace
-	mid := BenchProblem(11, BenchSLAPercent)
-
 	cases := []struct {
-		p    *Problem
 		cfg  SolverConfig
 		want string
 	}{
-		{wide, SolverConfig{}, StrategyFrontier},
-		{small, SolverConfig{}, StrategyExhaustive},
-		{small, SolverConfig{Budget: Budget{Wall: time.Second}}, StrategyExhaustive},
-		{small, SolverConfig{Budget: Budget{MaxEvaluations: 1 << 20}}, StrategyFrontier},
-		{mid, SolverConfig{}, StrategyFrontier},
-		{small, SolverConfig{Strategy: StrategyPruned}, StrategyPruned},
-		{mid, SolverConfig{Strategy: StrategyExhaustive}, StrategyExhaustive},
-		{small, SolverConfig{Strategy: StrategyBeam}, StrategyFrontier},
-		{small, SolverConfig{Strategy: StrategyBranchAndBound}, StrategyFrontier},
+		{SolverConfig{}, StrategyFrontier},
+		{SolverConfig{Strategy: StrategyAuto, Budget: Budget{Wall: time.Second}}, StrategyFrontier},
+		{SolverConfig{Budget: Budget{MaxEvaluations: 1 << 20}}, StrategyFrontier},
+		{SolverConfig{Strategy: StrategyPruned}, StrategyPruned},
+		{SolverConfig{Strategy: StrategyExhaustive}, StrategyExhaustive},
+		{SolverConfig{Strategy: StrategyBeam}, StrategyFrontier},
+		{SolverConfig{Strategy: StrategyBranchAndBound}, StrategyFrontier},
 	}
 	for _, tc := range cases {
-		got, err := ResolveConfig(tc.p, tc.cfg)
+		got, err := resolveConfig(tc.cfg)
 		if err != nil {
-			t.Fatalf("ResolveConfig(%+v): %v", tc.cfg, err)
+			t.Fatalf("resolveConfig(%+v): %v", tc.cfg, err)
 		}
 		if got != tc.want {
-			t.Fatalf("ResolveConfig(%d components, %+v) = %q, want %q", len(tc.p.Components), tc.cfg, got, tc.want)
+			t.Fatalf("resolveConfig(%+v) = %q, want %q", tc.cfg, got, tc.want)
 		}
 	}
-	if got, err := ResolveStrategy(wide, ""); err != nil || got != StrategyFrontier {
-		t.Fatalf("ResolveStrategy(wide, auto) = %q, %v", got, err)
+	if _, err := resolveConfig(SolverConfig{Strategy: "nope"}); err == nil {
+		t.Fatal("resolveConfig accepted an unknown strategy")
 	}
 }
 

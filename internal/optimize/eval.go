@@ -199,17 +199,10 @@ func (c *Cursor) Sync(a Assignment) {
 // Advance steps to the next candidate in mixed-radix enumeration
 // order (the last component is the fastest digit); it returns false
 // after the final candidate, wrapping the cursor back to the
-// all-baseline assignment.
-func (c *Cursor) Advance() bool { return c.AdvanceFrom(0) }
-
-// AdvanceFrom steps digits from..n-1 in mixed-radix order, leaving
-// the pinned prefix untouched; it returns false after the suffix's
-// final candidate, wrapping the suffix back to all-baseline (the
-// cursor stays fully consistent, so a subsequent Sync re-folds only
-// genuinely changed digits). It is the cursor counterpart of the
-// enumeration the parallel stream shards by pinned prefix.
-func (c *Cursor) AdvanceFrom(from int) bool {
-	for i := len(c.a) - 1; i >= from; i-- {
+// all-baseline assignment (the cursor stays fully consistent, so a
+// subsequent Sync re-folds only genuinely changed digits).
+func (c *Cursor) Advance() bool {
+	for i := len(c.a) - 1; i >= 0; i-- {
 		c.a[i]++
 		if c.a[i] < c.e.arity[i] {
 			c.idx++
@@ -218,14 +211,10 @@ func (c *Cursor) AdvanceFrom(from int) bool {
 		}
 		c.a[i] = 0
 	}
-	// Wrapped: the suffix is back at all-baseline. Re-fold so the
-	// checkpoints match the digits again before the caller's next move.
-	idx := int64(0)
-	for i, v := range c.a {
-		idx += int64(v) * c.e.place[i]
-	}
-	c.idx = idx
-	c.refold(from)
+	// Wrapped: re-fold so the checkpoints match the digits again
+	// before the caller's next move.
+	c.idx = 0
+	c.refold(0)
 	return false
 }
 

@@ -33,11 +33,11 @@ func BenchmarkEvalEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamPricing compares the streaming pricing pass (fold
-// candidates online, O(1) memory) against the materialized AllContext
-// (every candidate cloned into an O(k^n) slice) — the memory-shape
-// split behind broker.Pareto's single-pass rewrite.
-func BenchmarkStreamPricing(b *testing.B) {
+// BenchmarkStream compares the streaming enumeration (fold candidates
+// online, O(1) memory — a named exhaustive search) against the
+// materialized AllContext (every candidate cloned into an O(k^n)
+// slice).
+func BenchmarkStream(b *testing.B) {
 	p := slaDenseProblem(19, benchSLA)
 	b.Run("stream/n=19", func(b *testing.B) {
 		b.ReportAllocs()

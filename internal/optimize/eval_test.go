@@ -103,10 +103,9 @@ func TestCursorSyncRandomAccess(t *testing.T) {
 	}
 }
 
-// TestCursorAdvanceWrapStaysConsistent pins the wrap behavior a
-// shard-reusing worker depends on: after AdvanceFrom exhausts a
-// suffix, the cursor must be fully re-usable via Sync without stale
-// checkpoints leaking into the next evaluation.
+// TestCursorAdvanceWrapStaysConsistent pins the wrap behavior: after
+// Advance exhausts the space, the cursor must be fully re-usable via
+// Sync without stale checkpoints leaking into the next evaluation.
 func TestCursorAdvanceWrapStaysConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProblem(rng)
@@ -171,8 +170,7 @@ func TestSolversMatchScratchOracle(t *testing.T) {
 }
 
 // TestStreamMatchesAll pins the streaming visitor against the
-// materialized enumeration: same candidates, same order, for both the
-// sequential and the sharded stream.
+// materialized enumeration: same candidates, same order.
 func TestStreamMatchesAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
@@ -193,19 +191,6 @@ func TestStreamMatchesAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameCandidates(t, trial, "stream", got, want)
-
-		for _, workers := range []int{2, 3, 5} {
-			shard := make([]Candidate, len(want))
-			if err := p.ParallelStreamContext(context.Background(), workers, func() func(*Cursor) error {
-				return func(cur *Cursor) error {
-					shard[cur.Index()] = cur.Candidate()
-					return nil
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-			assertSameCandidates(t, trial, "parallel stream", shard, want)
-		}
 	}
 }
 

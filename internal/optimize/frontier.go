@@ -55,10 +55,11 @@ import (
 // can reach the cap on small shapes.
 var maxFrontierStates = 1 << 16
 
-// errFrontierStateCap reports a frontier run whose level outgrew the
-// DP's state cap. Solve then answers with a certified incumbent;
-// ParetoContext, which must be exact, returns it.
-var errFrontierStateCap = errors.New("optimize: frontier level exceeds the state cap")
+// ErrFrontierStateCap reports a frontier run whose level outgrew the
+// DP's state cap: the answer would need more memory than the DP may
+// hold, however valid the request. Solve then answers with a certified
+// incumbent; ParetoContext, which must be exact, returns it.
+var ErrFrontierStateCap = errors.New("optimize: frontier level exceeds the state cap")
 
 // errFrontierBudget stops a frontier run whose wall or evaluation
 // budget ran out.
@@ -127,7 +128,7 @@ func (r *frontierRun) fold() ([]frontierState, error) {
 		kept := r.filter(next)
 		r.pt.advance(int64(len(next)-len(kept)) * below)
 		if len(kept) > maxFrontierStates {
-			return nil, errFrontierStateCap
+			return nil, ErrFrontierStateCap
 		}
 		links := make([]frontierLink, len(kept))
 		for j := range kept {
@@ -262,17 +263,20 @@ func newFrontierRun(ctx context.Context, ev *Evaluator, b Budget, presentation b
 	}
 }
 
-// frontierSearch is the frontier strategy: Best and BestNoPenalty are
-// exactly ExhaustiveContext's, assignments included. Evaluated counts
-// the complete assignments priced on the last level; Skipped is the
-// rest of the space.
+// frontierSearch is the frontier strategy. In lexicographic tie order
+// Best and BestNoPenalty are exactly ExhaustiveContext's, assignments
+// included; in presentation tie order they are the option cards'
+// picks (see SolvePresentation). Evaluated counts the complete
+// assignments priced on the last level; Skipped is the rest of the
+// space.
 //
 // A wall budget, an evaluation budget (every fold counts as one
 // evaluation) or the level state cap ends the run early. The answer is
 // then Greedy's incumbent, certified against the root relaxation
-// bound: Approximate, Bound, Gap and Optimal are set, and
-// BudgetExhausted says whether a budget (rather than the cap) fired.
-func (p *Problem) frontierSearch(ctx context.Context, b Budget) (Result, error) {
+// bound: Approximate, Bound, Gap and Optimal are set, BudgetExhausted
+// says whether a budget (rather than the cap) fired, and Evaluated
+// counts the distinct assignments Greedy priced.
+func (p *Problem) frontierSearch(ctx context.Context, b Budget, presentation bool) (Result, error) {
 	ev, err := newEvaluatorShape(p)
 	if err != nil {
 		return Result{}, err
@@ -282,27 +286,31 @@ func (p *Problem) frontierSearch(ctx context.Context, b Budget) (Result, error) 
 			return Result{}, err
 		}
 	}
-	r := newFrontierRun(ctx, ev, b, false)
+	r := newFrontierRun(ctx, ev, b, presentation)
 	res, err := r.solve()
-	if spent := errors.Is(err, errFrontierBudget); spent || errors.Is(err, errFrontierStateCap) {
-		if res, err = p.Greedy(); err != nil {
+	if spent := errors.Is(err, errFrontierBudget); spent || errors.Is(err, ErrFrontierStateCap) {
+		var distinct int
+		if res, distinct, err = p.greedy(); err != nil {
 			return Result{}, err
 		}
+		res.Evaluated = distinct
 		res.certify(p.rootLowerBound(), spent)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res.Skipped = int(max(r.space-int64(res.Evaluated), 0))
+	res.Skipped = int(r.space - int64(res.Evaluated))
 	r.pt.advance(r.space - r.pt.n)
 	r.pt.done()
 	return res, nil
 }
 
-// solve runs the DP in lexicographic tie order and picks the
-// incumbents the way observeCursor does: lowest TCO, then highest
-// uptime, then the lexicographically first assignment — the order
-// leaves visits them in, so only strict improvements replace.
+// solve runs the DP and picks the incumbents the way the run's tie
+// order asks: lowest TCO, then (lexicographic) highest uptime or
+// (presentation) fewest clustered components, then the first leaf
+// visited — leaves arrive in lexicographic order, so only strict
+// improvements replace. SLA-meeting leaves carry no penalty, so the
+// same comparison picks BestNoPenalty by HA cost.
 func (r *frontierRun) solve() (Result, error) {
 	states, err := r.fold()
 	if err != nil {
@@ -315,6 +323,9 @@ func (r *frontierRun) solve() (Result, error) {
 	improves := func(l, inc frontierLeaf) bool {
 		if lt, it := l.tco.Total(), inc.tco.Total(); lt != it {
 			return lt < it
+		}
+		if r.presentation {
+			return l.ha < inc.ha
 		}
 		return l.uptime > inc.uptime
 	}

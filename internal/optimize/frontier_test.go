@@ -257,3 +257,55 @@ func TestFrontierSolvesWideShapeExactly(t *testing.T) {
 		t.Fatalf("n=30 frontier has %d points, want %d", len(front), BenchWideN+1)
 	}
 }
+
+// TestPresentationFrontierMatchesStream pins SolvePresentation's three
+// paths to one another: the DP in presentation tie order (frontier),
+// the full stream folded under the cards' rule (exhaustive) and the DP
+// beside the level search (pruned) pick the same Best and
+// BestNoPenalty assignments, priced bit-identically, on random,
+// heterogeneous, tie-heavy symmetric and zero-cost-HA shapes.
+func TestPresentationFrontierMatchesStream(t *testing.T) {
+	check := func(label string, p *Problem) {
+		t.Helper()
+		ref, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: StrategyExhaustive})
+		if err != nil {
+			t.Fatalf("%s: exhaustive: %v", label, err)
+		}
+		if ref.Evaluated != p.SpaceSize() || ref.Skipped != 0 {
+			t.Fatalf("%s: exhaustive accounting %d + %d, space %d", label, ref.Evaluated, ref.Skipped, p.SpaceSize())
+		}
+		for _, strategy := range []string{StrategyFrontier, StrategyPruned, StrategyAuto} {
+			got, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: strategy})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, strategy, err)
+			}
+			if got.Approximate || got.Evaluated+got.Skipped != p.SpaceSize() {
+				t.Fatalf("%s: %s approximate %v, accounting %d + %d", label, strategy, got.Approximate, got.Evaluated, got.Skipped)
+			}
+			same := func(what string, g, w Candidate) {
+				if !equalAssignments(g.Assignment, w.Assignment) || g.Uptime != w.Uptime || g.TCO != w.TCO {
+					t.Fatalf("%s: %s %s %v, stream %v", label, strategy, what, g.Assignment, w.Assignment)
+				}
+			}
+			same("best", got.Best, ref.Best)
+			if got.NoPenaltyFound != ref.NoPenaltyFound {
+				t.Fatalf("%s: %s NoPenaltyFound %v, stream %v", label, strategy, got.NoPenaltyFound, ref.NoPenaltyFound)
+			}
+			if ref.NoPenaltyFound {
+				same("min-risk", got.BestNoPenalty, ref.BestNoPenalty)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(2311))
+	for trial := 0; trial < 1000; trial++ {
+		check(fmt.Sprintf("random trial %d", trial), randomProblem(rng))
+	}
+	for trial := 0; trial < 100; trial++ {
+		check(fmt.Sprintf("heterogeneous trial %d", trial), heterogeneousProblem(rng, 6+rng.Intn(7)))
+	}
+	for n := 8; n <= 16; n++ {
+		for _, sla := range []float64{BenchSLAPercent, BenchSLADeepPercent, 98, 99} {
+			check(fmt.Sprintf("symmetric n=%d sla=%v", n, sla), BenchProblem(n, sla))
+		}
+	}
+}

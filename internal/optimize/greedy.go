@@ -12,14 +12,33 @@ package optimize
 // It is also the incumbent a budget- or cap-stopped frontier run
 // answers with, so it takes any space up to the shape ceiling.
 func (p *Problem) Greedy() (Result, error) {
+	res, _, err := p.greedy()
+	return res, err
+}
+
+// greedy is Greedy that also counts the distinct assignments it
+// priced. Evaluated counts every evaluation, and a round re-prices
+// neighbours of earlier rounds, so on small spaces Evaluated can
+// exceed the space; the distinct count never does. Assignments are
+// keyed by their mixed-radix index, which fits the shape ceiling.
+func (p *Problem) greedy() (Result, int, error) {
 	if err := p.ValidateShape(); err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 
-	current := make(Assignment, len(p.Components))
+	n := len(p.Components)
+	place := make([]int64, n)
+	place[n-1] = 1
+	for i := n - 2; i >= 0; i-- {
+		place[i] = place[i+1] * int64(len(p.Components[i+1].Variants))
+	}
+	var index int64
+	seen := map[int64]bool{index: true}
+
+	current := make(Assignment, n)
 	best, err := p.Evaluate(current)
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 	res := Result{Best: best, Evaluated: 1}
 	if best.MeetsSLA(p.SLA) {
@@ -43,9 +62,10 @@ func (p *Problem) Greedy() (Result, error) {
 				trial[i] = v
 				cand, err := p.Evaluate(trial)
 				if err != nil {
-					return Result{}, err
+					return Result{}, 0, err
 				}
 				res.Evaluated++
+				seen[index+int64(v-current[i])*place[i]] = true
 				if cand.MeetsSLA(p.SLA) {
 					if !res.NoPenaltyFound || betterNoPenalty(cand, res.BestNoPenalty) {
 						res.BestNoPenalty = cand
@@ -59,8 +79,9 @@ func (p *Problem) Greedy() (Result, error) {
 			}
 		}
 		if !improved {
-			return res, nil
+			return res, len(seen), nil
 		}
+		index += int64(bestVar-current[bestComp]) * place[bestComp]
 		current[bestComp] = bestVar
 		res.Best = bestCand
 	}

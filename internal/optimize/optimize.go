@@ -460,6 +460,46 @@ func (p *Problem) ExhaustiveContext(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
+// exhaustivePresentation is ExhaustiveContext under the option cards'
+// selection rule (see SolvePresentation): ties on TCO (and, among
+// SLA-meeting candidates, on HA cost) go to the fewest clustered
+// components, then to the first candidate streamed — the stream is
+// lexicographic, so only strict improvements replace.
+func (p *Problem) exhaustivePresentation(ctx context.Context) (Result, error) {
+	ev, err := NewEvaluator(p)
+	if err != nil {
+		return Result{}, err
+	}
+	var res Result
+	var bestHA, meetHA int
+	// improves reports whether a candidate of the given total displaces
+	// an incumbent of total inc with incHA clustered components.
+	improves := func(total, inc cost.Money, a Assignment, incHA int) bool {
+		if total != inc {
+			return total < inc
+		}
+		return a.haCount() < incHA
+	}
+	if err := ev.stream(ctx, func(cur *Cursor) error {
+		tco := cur.TCO()
+		total := tco.Total()
+		if res.Evaluated == 0 || improves(total, res.Best.TCO.Total(), cur.a, bestHA) {
+			setIncumbent(&res.Best, cur.a, cur.Uptime(), tco)
+			bestHA = cur.a.haCount()
+		}
+		if cur.MeetsSLA() && (!res.NoPenaltyFound || improves(total, res.BestNoPenalty.TCO.Total(), cur.a, meetHA)) {
+			setIncumbent(&res.BestNoPenalty, cur.a, cur.Uptime(), tco)
+			res.NoPenaltyFound = true
+			meetHA = cur.a.haCount()
+		}
+		res.Evaluated++
+		return nil
+	}); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
 // ExhaustiveScratch is the from-scratch reference search: every
 // candidate re-derived by Problem.Evaluate, exactly the work the
 // incremental engine amortizes away. It is kept as the equivalence

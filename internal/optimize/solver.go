@@ -45,10 +45,8 @@ const (
 	// shape ceiling rather than MaxCandidates.
 	StrategyFrontier = "frontier"
 
-	// StrategyAuto resolves to exhaustive for spaces of at most
-	// autoExhaustiveSpace candidates without an evaluation cap (where
-	// the broker fuses it with the card-pricing pass), and to frontier
-	// otherwise. It is the default everywhere a strategy is selectable.
+	// StrategyAuto resolves to frontier for every space. It is the
+	// default everywhere a strategy is selectable.
 	StrategyAuto = "auto"
 )
 
@@ -73,11 +71,6 @@ var aliases = map[string]string{
 	StrategyBounded:        StrategyFrontier,
 }
 
-// autoExhaustiveSpace is the largest space auto hands to exhaustive:
-// there the broker prices every card anyway, so the fused pass gets
-// the search for free.
-const autoExhaustiveSpace = 1 << 10
-
 // solverFunc adapts a function to the Solver interface.
 type solverFunc struct {
 	name string
@@ -100,7 +93,7 @@ func init() {
 	for _, s := range []solverFunc{
 		{StrategyExhaustive, func(ctx context.Context, p *Problem) (Result, error) { return p.ExhaustiveContext(ctx) }},
 		{StrategyPruned, func(ctx context.Context, p *Problem) (Result, error) { return p.PrunedContext(ctx) }},
-		{StrategyFrontier, func(ctx context.Context, p *Problem) (Result, error) { return p.frontierSearch(ctx, Budget{}) }},
+		{StrategyFrontier, func(ctx context.Context, p *Problem) (Result, error) { return p.frontierSearch(ctx, Budget{}, false) }},
 		{StrategyAuto, func(ctx context.Context, p *Problem) (Result, error) { return Solve(ctx, p, StrategyAuto) }},
 	} {
 		if err := RegisterSolver(s); err != nil {
@@ -164,20 +157,10 @@ func solverByName(name string) (Solver, error) {
 	return s, nil
 }
 
-// ResolveStrategy reports the concrete solver a Solve call with this
-// strategy would run on the given problem. Layers that can answer a
-// request without a separate solver pass — the broker's fused
-// streaming Recommend when the resolved strategy is exhaustive — use
-// it to make that call before starting the enumeration.
-func ResolveStrategy(p *Problem, strategy string) (string, error) {
-	return ResolveConfig(p, SolverConfig{Strategy: strategy})
-}
-
-// ResolveConfig is ResolveStrategy for a full solver config: "" and
-// "auto" resolve from the space size and the evaluation budget (which
-// needs a valid problem shape), a retired alias resolves to frontier,
+// resolveConfig reports the concrete solver a config names: "" and
+// "auto" resolve to frontier, a retired alias resolves to frontier,
 // and anything else echoes the registered name.
-func ResolveConfig(p *Problem, cfg SolverConfig) (string, error) {
+func resolveConfig(cfg SolverConfig) (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
@@ -185,20 +168,14 @@ func ResolveConfig(p *Problem, cfg SolverConfig) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if s.Name() != StrategyAuto {
-		return s.Name(), nil
+	if s.Name() == StrategyAuto {
+		return StrategyFrontier, nil
 	}
-	if err := p.ValidateShape(); err != nil {
-		return "", err
-	}
-	if p.SpaceSize() <= autoExhaustiveSpace && cfg.Budget.MaxEvaluations == 0 {
-		return StrategyExhaustive, nil
-	}
-	return StrategyFrontier, nil
+	return s.Name(), nil
 }
 
-// Solve runs the named strategy ("" or "auto" lets ResolveConfig
-// pick) and stamps the result with the concrete strategy that ran. A
+// Solve runs the named strategy ("" or "auto" runs frontier) and
+// stamps the result with the concrete strategy that ran. A
 // WithStrategyReport hook on the context hears the resolved name
 // before the search starts, which is how the async job surface echoes
 // the choice into live progress.
@@ -212,15 +189,30 @@ func Solve(ctx context.Context, p *Problem, strategy string) (Result, error) {
 // deadline, and an evaluation cap is refused: they cannot stop early
 // and still be exact.
 func SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-	name, err := ResolveConfig(p, cfg)
+	return solveConfig(ctx, p, cfg, false)
+}
+
+// SolvePresentation is SolveConfig under the option cards' selection
+// rule: Best is the lowest-TCO candidate and BestNoPenalty the
+// lowest-HA-cost SLA-meeting one, each tie going to the first
+// candidate in presentation order (fewest clustered components, then
+// lexicographic) instead of to the higher uptime. Frontier runs its DP
+// in presentation tie order and exhaustive folds the full stream under
+// the rule, so both report their own effort; any other strategy runs
+// only for its effort statistics, beside a presentation-order frontier
+// run that supplies the answer. Budgets, hooks and the strategy echo
+// behave as in SolveConfig.
+func SolvePresentation(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
+	return solveConfig(ctx, p, cfg, true)
+}
+
+func solveConfig(ctx context.Context, p *Problem, cfg SolverConfig, presentation bool) (Result, error) {
+	name, err := resolveConfig(cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	reportStrategy(ctx, name)
-	var res Result
-	if name == StrategyFrontier {
-		res, err = p.frontierSearch(ctx, cfg.Budget)
-	} else {
+	if name != StrategyFrontier {
 		if cfg.Budget.MaxEvaluations > 0 {
 			return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use frontier or auto", name)
 		}
@@ -229,12 +221,46 @@ func SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, err
 			ctx, cancel = context.WithTimeout(ctx, cfg.Budget.Wall)
 			defer cancel()
 		}
+	}
+	var res Result
+	switch {
+	case name == StrategyFrontier:
+		res, err = p.frontierSearch(ctx, cfg.Budget, presentation)
+	case !presentation:
 		s, _ := solverByName(name)
 		res, err = s.Solve(ctx, p)
+	case name == StrategyExhaustive:
+		res, err = p.exhaustivePresentation(ctx)
+	default:
+		res, err = p.solveBeside(ctx, name)
 	}
 	if err != nil {
 		return Result{}, err
 	}
 	res.Strategy = name
+	return res, nil
+}
+
+// solveBeside answers in presentation order from a frontier run and
+// takes the effort statistics from the named solver. Only the solver
+// reports progress, so watchers see one pass over the space.
+func (p *Problem) solveBeside(ctx context.Context, name string) (Result, error) {
+	quiet := WithProgress(ctx, nil)
+	res, err := p.frontierSearch(quiet, Budget{}, true)
+	if err == nil && res.Approximate {
+		// The state cap stopped the DP, and the named strategy is exact:
+		// the answer comes from the full stream instead.
+		res, err = p.exhaustivePresentation(quiet)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	s, _ := solverByName(name)
+	stats, err := s.Solve(ctx, p)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Evaluated, res.Skipped = stats.Evaluated, stats.Skipped
+	res.CoverLookups, res.Clipped = stats.CoverLookups, stats.Clipped
 	return res, nil
 }

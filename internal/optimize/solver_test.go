@@ -117,16 +117,16 @@ func TestIndexedPrunedMatchesLinear(t *testing.T) {
 	}
 }
 
+// TestAutoPicksByShape pins that auto is frontier whatever the shape:
+// small or large space, attainable SLA or not, budgeted or not.
 func TestAutoPicksByShape(t *testing.T) {
-	t.Run("attainable small space goes exhaustive", func(t *testing.T) {
-		// The case-study shape: the broker fuses exhaustive into its
-		// card-pricing pass, so small spaces get the search for free.
+	t.Run("attainable small space goes frontier", func(t *testing.T) {
 		res, err := Solve(context.Background(), sampleProblem(), StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyExhaustive {
-			t.Fatalf("auto on the case-study shape picked %q, want exhaustive", res.Strategy)
+		if res.Strategy != StrategyFrontier {
+			t.Fatalf("auto on the case-study shape picked %q, want frontier", res.Strategy)
 		}
 	})
 	t.Run("unattainable large space goes frontier", func(t *testing.T) {
@@ -143,15 +143,15 @@ func TestAutoPicksByShape(t *testing.T) {
 			t.Fatal("nothing should meet an unattainable SLA")
 		}
 	})
-	t.Run("unattainable small space goes exhaustive", func(t *testing.T) {
+	t.Run("unattainable small space goes frontier", func(t *testing.T) {
 		p := sampleProblem()
 		p.SLA.UptimePercent = 99.9999999
 		res, err := Solve(context.Background(), p, StrategyAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyExhaustive {
-			t.Fatalf("auto picked %q, want exhaustive", res.Strategy)
+		if res.Strategy != StrategyFrontier {
+			t.Fatalf("auto picked %q, want frontier", res.Strategy)
 		}
 	})
 	t.Run("attainable large space goes frontier", func(t *testing.T) {
@@ -179,8 +179,8 @@ func TestAutoPicksByShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Strategy != StrategyExhaustive {
-			t.Fatalf("empty strategy resolved to %q, want exhaustive", res.Strategy)
+		if res.Strategy != StrategyFrontier {
+			t.Fatalf("empty strategy resolved to %q, want frontier", res.Strategy)
 		}
 	})
 }

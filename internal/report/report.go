@@ -1,8 +1,10 @@
 // Package report renders broker recommendations for humans and
 // machines: fixed-width text (CLI output), Markdown (documentation,
 // tickets) and CSV (spreadsheets, plotting). The renderers are pure
-// functions of the Recommendation, so every consumer — uptimectl, the
-// experiments harness, downstream users — shows identical numbers.
+// functions of the Recommendation and the option cards to list (the
+// answer's own cards, or any page of Engine.Cards), so every consumer
+// — uptimectl, the experiments harness, downstream users — shows
+// identical numbers.
 package report
 
 import (
@@ -38,16 +40,16 @@ func rowNote(rec *broker.Recommendation, option int) string {
 	return strings.Join(notes, ", ")
 }
 
-// Text writes the recommendation as an aligned fixed-width table with a
-// summary block, suitable for terminals.
-func Text(w io.Writer, rec *broker.Recommendation) error {
+// Text writes the recommendation as an aligned fixed-width table of
+// the given cards with a summary block, suitable for terminals.
+func Text(w io.Writer, rec *broker.Recommendation, cards []broker.OptionCard) error {
 	if _, err := fmt.Fprintf(w, "system %q on %s — SLA %.2f%%, penalty %s/hour\n\n",
 		rec.System, rec.Provider, rec.SLA.UptimePercent, rec.SLA.Penalty.PerHour); err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "option\tHA selection\tC_HA/mo\tuptime %\tslip h/mo\tpenalty/mo\tTCO/mo\tnote")
-	for _, c := range rec.Cards {
+	for _, c := range cards {
 		fmt.Fprintf(tw, "#%d\t%s\t%s\t%.4f\t%.2f\t%s\t%s\t%s\n",
 			c.Option, c.Label(), c.HACost, c.Uptime*100, c.SlippageHours, c.Penalty, c.TCO,
 			rowNote(rec, c.Option))
@@ -60,15 +62,13 @@ func Text(w io.Writer, rec *broker.Recommendation) error {
 		rec.BestOption, rec.Best().Label(), rec.Best().TCO); err != nil {
 		return err
 	}
-	if rec.MinRiskOption > 0 {
-		minRisk := rec.Cards[rec.MinRiskOption-1]
+	if minRisk, err := rec.Card(rec.MinRiskOption); err == nil {
 		if _, err := fmt.Fprintf(w, "min-risk:    option #%d (%s) at %s/month\n",
 			rec.MinRiskOption, minRisk.Label(), minRisk.TCO); err != nil {
 			return err
 		}
 	}
-	if rec.AsIsOption > 0 {
-		asIs := rec.Cards[rec.AsIsOption-1]
+	if asIs, err := rec.Card(rec.AsIsOption); err == nil {
 		if _, err := fmt.Fprintf(w, "as-is:       option #%d (%s) at %s/month — savings %.1f%%\n",
 			rec.AsIsOption, asIs.Label(), asIs.TCO, rec.SavingsFraction*100); err != nil {
 			return err
@@ -80,8 +80,8 @@ func Text(w io.Writer, rec *broker.Recommendation) error {
 }
 
 // Markdown writes the recommendation as a GitHub-flavored Markdown
-// table with a summary list.
-func Markdown(w io.Writer, rec *broker.Recommendation) error {
+// table of the given cards with a summary list.
+func Markdown(w io.Writer, rec *broker.Recommendation, cards []broker.OptionCard) error {
 	if _, err := fmt.Fprintf(w, "### %s on %s — SLA %.2f%%\n\n", rec.System, rec.Provider, rec.SLA.UptimePercent); err != nil {
 		return err
 	}
@@ -91,7 +91,7 @@ func Markdown(w io.Writer, rec *broker.Recommendation) error {
 	if _, err := fmt.Fprintln(w, "|--------|--------------|---------|----------|------------|--------|------|"); err != nil {
 		return err
 	}
-	for _, c := range rec.Cards {
+	for _, c := range cards {
 		if _, err := fmt.Fprintf(w, "| #%d | %s | %s | %.4f | %s | %s | %s |\n",
 			c.Option, c.Label(), c.HACost, c.Uptime*100, c.Penalty, c.TCO, rowNote(rec, c.Option)); err != nil {
 			return err
@@ -115,13 +115,14 @@ var CSVHeader = []string{
 	"penalty_usd", "tco_usd", "meets_sla", "note",
 }
 
-// CSV writes one row per option plus a header, RFC-4180 formatted.
-func CSV(w io.Writer, rec *broker.Recommendation) error {
+// CSV writes one row per given card plus a header, RFC-4180
+// formatted.
+func CSV(w io.Writer, rec *broker.Recommendation, cards []broker.OptionCard) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(CSVHeader); err != nil {
 		return err
 	}
-	for _, c := range rec.Cards {
+	for _, c := range cards {
 		row := []string{
 			strconv.Itoa(c.Option),
 			c.Label(),

@@ -10,24 +10,35 @@ import (
 	"uptimebroker/internal/catalog"
 )
 
-func caseStudyRec(t *testing.T) *broker.Recommendation {
+// recommend answers req on a default engine with the given strategy
+// and lists all of its cards.
+func recommend(t *testing.T, req broker.Request, strategy string) (*broker.Recommendation, []broker.OptionCard) {
 	t.Helper()
 	cat := catalog.Default()
-	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat})
+	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat}, broker.WithDefaultStrategy(strategy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := engine.Recommend(context.Background(), broker.CaseStudy())
+	rec, err := engine.Recommend(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec
+	cards, _, err := engine.Cards(context.Background(), req, 0, broker.MaxCards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, cards
+}
+
+func caseStudyRec(t *testing.T) (*broker.Recommendation, []broker.OptionCard) {
+	t.Helper()
+	return recommend(t, broker.CaseStudy(), "")
 }
 
 func TestTextRendersAllOptions(t *testing.T) {
-	rec := caseStudyRec(t)
+	rec, cards := caseStudyRec(t)
 	var sb strings.Builder
-	if err := Text(&sb, rec); err != nil {
+	if err := Text(&sb, rec, cards); err != nil {
 		t.Fatalf("Text: %v", err)
 	}
 	out := sb.String()
@@ -41,7 +52,7 @@ func TestTextRendersAllOptions(t *testing.T) {
 		"$1,164.90",
 		"$3,050.00",
 		"savings 61.8%",
-		"8 options, 8 evaluated, 0 pruned",
+		"8 options, 6 evaluated, 2 pruned", // auto's frontier run
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Text output missing %q:\n%s", want, out)
@@ -50,17 +61,9 @@ func TestTextRendersAllOptions(t *testing.T) {
 
 	// The paper's Section III.C effort comes from the pruned search
 	// asked for by name.
-	cat := catalog.Default()
-	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat}, broker.WithDefaultStrategy("pruned"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := engine.Recommend(context.Background(), broker.CaseStudy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pruned, cards := recommend(t, broker.CaseStudy(), "pruned")
 	sb.Reset()
-	if err := Text(&sb, pruned); err != nil {
+	if err := Text(&sb, pruned, cards); err != nil {
 		t.Fatal(err)
 	}
 	if want := "8 options, 7 evaluated, 1 pruned"; !strings.Contains(sb.String(), want) {
@@ -69,19 +72,11 @@ func TestTextRendersAllOptions(t *testing.T) {
 }
 
 func TestTextWithoutAsIs(t *testing.T) {
-	cat := catalog.Default()
-	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := broker.CaseStudy()
 	req.AsIs = nil
-	rec, err := engine.Recommend(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, cards := recommend(t, req, "")
 	var sb strings.Builder
-	if err := Text(&sb, rec); err != nil {
+	if err := Text(&sb, rec, cards); err != nil {
 		t.Fatalf("Text: %v", err)
 	}
 	if strings.Contains(sb.String(), "as-is") {
@@ -90,9 +85,9 @@ func TestTextWithoutAsIs(t *testing.T) {
 }
 
 func TestMarkdownShape(t *testing.T) {
-	rec := caseStudyRec(t)
+	rec, cards := caseStudyRec(t)
 	var sb strings.Builder
-	if err := Markdown(&sb, rec); err != nil {
+	if err := Markdown(&sb, rec, cards); err != nil {
 		t.Fatalf("Markdown: %v", err)
 	}
 	out := sb.String()
@@ -118,9 +113,9 @@ func TestMarkdownShape(t *testing.T) {
 }
 
 func TestCSVParsesBack(t *testing.T) {
-	rec := caseStudyRec(t)
+	rec, cards := caseStudyRec(t)
 	var sb strings.Builder
-	if err := CSV(&sb, rec); err != nil {
+	if err := CSV(&sb, rec, cards); err != nil {
 		t.Fatalf("CSV: %v", err)
 	}
 	records, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
@@ -147,7 +142,7 @@ func TestCSVParsesBack(t *testing.T) {
 }
 
 func TestRowNoteCombinations(t *testing.T) {
-	rec := caseStudyRec(t)
+	rec, _ := caseStudyRec(t)
 	if note := rowNote(rec, rec.BestOption); note != "RECOMMENDED" {
 		t.Fatalf("best note = %q", note)
 	}

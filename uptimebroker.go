@@ -5,13 +5,15 @@
 //
 // Given a base cloud architecture (a serial chain of compute, storage
 // and network clusters), an uptime SLA and a slippage penalty, the
-// broker enumerates every HA-enabled variant of the architecture,
-// computes each variant's expected uptime with the paper's
-// probabilistic failure model and its monthly total cost of ownership
-// (HA cost + expected penalty), and recommends the cheapest variant.
+// broker searches every HA-enabled variant of the architecture —
+// each variant's expected uptime from the paper's probabilistic
+// failure model, its monthly total cost of ownership (HA cost +
+// expected penalty) — and recommends the cheapest variant. The answer
+// carries the best, min-risk and as-is option cards; any other card
+// is priced on demand.
 //
 // In-process quick start — every engine entry point takes a
-// context.Context and aborts its enumeration when the context is
+// context.Context and aborts its search when the context is
 // cancelled:
 //
 //	engine, err := uptimebroker.DefaultEngine()
@@ -19,6 +21,7 @@
 //	rec, err := engine.Recommend(ctx, uptimebroker.CaseStudy())
 //	if err != nil { ... }
 //	fmt.Println(rec.Best().Label(), rec.Best().TCO)
+//	cards, space, err := engine.Cards(ctx, uptimebroker.CaseStudy(), 0, uptimebroker.MaxCards)
 //
 // Many scenarios price concurrently across a bounded worker pool:
 //
@@ -141,9 +144,9 @@ type (
 	// with checkpointed evaluation state: moving it re-folds only the
 	// changed assignment digits (amortized O(1) per enumeration step,
 	// zero steady-state allocations), with uptime/TCO bit-identical
-	// to the from-scratch Problem.Evaluate. Problem.StreamContext and
-	// Problem.ParallelStreamContext present every candidate through
-	// one for O(1)-memory streaming consumption.
+	// to the from-scratch Problem.Evaluate. Problem.StreamContext
+	// presents every candidate through one for O(1)-memory streaming
+	// consumption.
 	Cursor = optimize.Cursor
 	// SearchStats reports a recommendation's search effort and the
 	// concrete solver strategy that ran.
@@ -218,6 +221,9 @@ type (
 	RecommendationResponse = httpapi.RecommendationResponse
 	// OptionCardDTO is the wire form of one solution option.
 	OptionCardDTO = httpapi.OptionCardDTO
+	// CardPageResponse is one page of a request's option listing
+	// (Client.Cards).
+	CardPageResponse = httpapi.CardPageResponse
 	// BatchResponse is the wire form of a batch pricing reply.
 	BatchResponse = httpapi.BatchResponse
 	// MetricsResponse is the wire form of GET /v1/metrics: job
@@ -293,19 +299,9 @@ const (
 	StrategyBounded        = optimize.StrategyBounded
 )
 
-// Card-pricing modes, selectable per request (Request.Pricing / the
-// wire "pricing" field), per engine (WithDefaultPricing), per client
-// (WithPricing) and per uptimectl invocation (-pricing). Every mode
-// produces byte-identical option cards; the choice only moves
-// latency. PricingAuto — the built-in default — resolves to parallel
-// or sequential from the host shape: parallel pays off only when
-// there are at least two cores and the candidate space is large
-// enough to amortize the workers.
-const (
-	PricingAuto       = broker.PricingAuto
-	PricingParallel   = broker.PricingParallel
-	PricingSequential = broker.PricingSequential
-)
+// MaxCards caps one card listing: Engine.Cards pages, a v1 response's
+// full list.
+const MaxCards = broker.MaxCards
 
 // Strategies lists the registered solver strategy names.
 func Strategies() []string { return optimize.Strategies() }
@@ -325,23 +321,6 @@ func NewEvaluator(p *Problem) (*Evaluator, error) { return optimize.NewEvaluator
 // requests that do not name one (built-in default: auto).
 func WithDefaultStrategy(strategy string) EngineOption {
 	return broker.WithDefaultStrategy(strategy)
-}
-
-// WithDefaultPricing sets the engine-wide card-pricing mode for
-// requests that do not set one: PricingAuto (the built-in default),
-// PricingParallel or PricingSequential. Requests override it per call
-// with Request.Pricing. (WithPricing is the client-side counterpart.)
-func WithDefaultPricing(mode string) EngineOption {
-	return broker.WithPricing(mode)
-}
-
-// WithParallelPricing forces the engine's full card-pricing pass
-// parallel (true) or sequential (false).
-//
-// Deprecated: use WithDefaultPricing; the built-in PricingAuto
-// default picks per host, which is what almost every caller wants.
-func WithParallelPricing(on bool) EngineOption {
-	return broker.WithParallelPricing(on)
 }
 
 // WithResultCache fronts the engine with a content-addressed
@@ -501,12 +480,6 @@ func WithBudget(wall time.Duration, maxEvaluations int64) ClientOption {
 	return httpapi.WithBudget(wall, maxEvaluations)
 }
 
-// WithPricing stamps a default card-pricing mode (PricingParallel,
-// PricingSequential or PricingAuto) onto every outgoing
-// recommendation-type request that does not set one; left unset, the
-// server resolves its own default (auto).
-func WithPricing(mode string) ClientOption { return httpapi.WithPricing(mode) }
-
 // WithProgress makes one Client.WaitJob call stream live progress
 // (state transitions plus evaluated/space_size from the enumeration)
 // to the callback, over Server-Sent Events with a polling fallback.
@@ -598,16 +571,17 @@ func ParetoCards(cards []OptionCard) []OptionCard {
 	return broker.ParetoCards(cards)
 }
 
-// WriteReport renders a recommendation in the given format ("text",
+// WriteReport renders a recommendation and the option cards to list —
+// its own, or a page of Engine.Cards — in the given format ("text",
 // "markdown" or "csv") to w.
-func WriteReport(w io.Writer, rec *Recommendation, format string) error {
+func WriteReport(w io.Writer, rec *Recommendation, cards []OptionCard, format string) error {
 	switch format {
 	case "text":
-		return report.Text(w, rec)
+		return report.Text(w, rec, cards)
 	case "markdown":
-		return report.Markdown(w, rec)
+		return report.Markdown(w, rec, cards)
 	case "csv":
-		return report.CSV(w, rec)
+		return report.CSV(w, rec, cards)
 	default:
 		return fmt.Errorf("uptimebroker: unknown report format %q", format)
 	}
