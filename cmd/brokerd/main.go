@@ -30,7 +30,10 @@
 // request. Identical requests are answered from memory (X-Cache: hit)
 // and concurrent identical requests collapse onto one solver run
 // (X-Cache: shared); any catalog mutation or telemetry observation
-// re-addresses everything, so stale answers are never served.
+// re-addresses everything, so stale answers are never served. The
+// same cache holds the frontier folds behind the answers, keyed by
+// what each fold reads, so a fresh SLA term on a known architecture
+// only prices a cached fold.
 // -cache-entries bounds the cache (0 disables caching entirely),
 // -cache-bytes adds an approximate memory budget (0 = unlimited), and
 // -cache-ttl ages entries out (0 = no expiry). GET /v1/metrics
@@ -118,8 +121,8 @@ func run(args []string) error {
 		fsync           = fs.Bool("fsync", false, "fsync every job WAL append for power-loss durability (with -data-dir)")
 		groupCommit     = fs.Bool("group-commit", false, "fsync durability with concurrent WAL appends coalesced into shared flushes (with -data-dir)")
 		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one: auto (default), frontier, exhaustive or pruned")
-		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results (0 disables the result cache)")
-		cacheBytes      = fs.Int64("cache-bytes", 0, "approximate memory budget for cached results in bytes (0 = bounded by -cache-entries only)")
+		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results and frontier folds (0 disables the result cache)")
+		cacheBytes      = fs.Int64("cache-bytes", 0, "approximate memory budget for cached results and folds in bytes (0 = bounded by -cache-entries only)")
 		cacheTTL        = fs.Duration("cache-ttl", 0, "drop cached results older than this (0 = no expiry; epochs already invalidate on data changes)")
 		ssePing         = fs.Duration("sse-ping", 15*time.Second, "keep-alive comment interval on /v2/jobs/{id}/events streams (0 disables)")
 		metricsInterval = fs.Duration("metrics-interval", 2*time.Second, "default snapshot cadence of the /v2/metrics/events stream")

@@ -399,7 +399,7 @@ func Suite() []Spec {
 		appendSpec(false), appendSpec(true),
 		concurrentAppendSpec(false), concurrentAppendSpec(true),
 		recoverySpec(),
-		cacheSpec(false), cacheSpec(true),
+		cacheSpec("miss"), cacheSpec("hit"), cacheSpec("fold-hit"),
 		concurrentV2Spec(),
 		obsSpec(false), obsSpec(true),
 	}
@@ -416,6 +416,7 @@ var ratioSpecs = []Ratio{
 	{Name: "fsync_cost_x", Numerator: "jobstore/append/fsync", Denominator: "jobstore/append/nosync", HigherIsBetter: false},
 	{Name: "group_commit_speedup", Numerator: "jobstore/append/fsync-concurrent", Denominator: "jobstore/append/group-commit", HigherIsBetter: true},
 	{Name: "cache_hit_speedup", Numerator: "cache/miss/n=19", Denominator: "cache/hit/n=19", HigherIsBetter: true},
+	{Name: "fold_hit_speedup", Numerator: "cache/miss/n=19", Denominator: "cache/fold-hit/n=19", HigherIsBetter: true},
 	{Name: "obs_overhead_headroom", Numerator: "obs/uninstrumented/n=16", Denominator: "obs/instrumented/n=16", HigherIsBetter: true},
 }
 

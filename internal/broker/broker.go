@@ -182,6 +182,10 @@ type Engine struct {
 	defaultStrategy string
 	cache           *reccache.Cache
 
+	// folds is the result cache's partition of presentation-order
+	// frontier folds (nil without a cache): see withFolds.
+	folds *reccache.Partition
+
 	// metrics is the engine's registry attachment (nil when
 	// uninstrumented); metricsOnce serializes InstrumentMetrics and
 	// pendingMetrics carries WithMetricsRegistry's argument to the end
@@ -208,6 +212,11 @@ func WithDefaultStrategy(strategy string) EngineOption {
 // when it exposes one), so catalog mutations and fresh telemetry
 // invalidate every dependent entry automatically. Cached results are
 // shared across callers and must be treated as read-only.
+//
+// The same cache, in a partition of its own, holds the frontier folds
+// behind those results, keyed by what the fold reads rather than by
+// epoch: a request that misses the result cache but compiles to an
+// architecture already folded only prices the fold under its term.
 func WithResultCache(c *reccache.Cache) EngineOption {
 	return func(e *Engine) { e.cache = c }
 }
@@ -227,6 +236,9 @@ func New(cat *catalog.Catalog, params ParamSource, opts ...EngineOption) (*Engin
 	if !optimize.ValidStrategy(e.defaultStrategy) {
 		return nil, fmt.Errorf("broker: unknown default strategy %q (choose from %v)",
 			e.defaultStrategy, optimize.Strategies())
+	}
+	if e.cache != nil {
+		e.folds = e.cache.Partition()
 	}
 	e.InstrumentMetrics(e.pendingMetrics)
 	return e, nil

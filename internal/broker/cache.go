@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 
+	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/reccache"
 )
 
@@ -103,4 +104,35 @@ func (e *Engine) Pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 	}
 	reportCacheStatus(ctx, status)
 	return v.([]OptionCard), nil
+}
+
+// withFolds attaches the engine's fold cache to ctx, when the engine
+// has one. optimize consults it only where a fold may be shared: an
+// unbudgeted frontier run in presentation order.
+func (e *Engine) withFolds(ctx context.Context) context.Context {
+	if e.folds == nil {
+		return ctx
+	}
+	return optimize.WithFoldCache(ctx, foldCache{e.folds})
+}
+
+// foldCache serves optimize's folds from the result cache's fold
+// partition. The content address is optimize's: a hash of exactly what
+// the fold reads, with no epoch, since a catalog edit or an
+// observation that moves a fold's inputs moves its address too.
+type foldCache struct{ p *reccache.Partition }
+
+// Fold implements optimize.FoldCache.
+func (c foldCache) Fold(ctx context.Context, key string, build func(context.Context) (*optimize.Fold, error)) (*optimize.Fold, error) {
+	v, _, err := c.p.Do(ctx, key, func(fctx context.Context) (any, int64, error) {
+		f, err := build(fctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		return f, f.Bytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*optimize.Fold), nil
 }

@@ -91,8 +91,9 @@ func (m *engineMetrics) observeRun(stats SearchStats, seconds float64) {
 }
 
 // InstrumentMetrics attaches the engine to a metrics registry,
-// publishing the result cache's counters and occupancy, the catalog
-// and parameter epochs, and the solver throughput series. It is
+// publishing the result cache's counters and occupancy, its fold
+// lookups by disposition, the catalog and parameter epochs, and the
+// solver throughput series. It is
 // idempotent: the first registry wins and later calls are no-ops, so
 // the HTTP layer can instrument an engine without knowing whether its
 // constructor already did.
@@ -144,6 +145,19 @@ func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 			func() float64 { return float64(e.cache.Metrics().Entries) })
 		reg.GaugeFunc("reccache_bytes", "Approximate bytes of cached results held.",
 			func() float64 { return float64(e.cache.Metrics().Bytes) })
+		foldCounters := []struct {
+			status reccache.Status
+			get    func(reccache.Metrics) int64
+		}{
+			{reccache.StatusHit, func(m reccache.Metrics) int64 { return m.Hits }},
+			{reccache.StatusMiss, func(m reccache.Metrics) int64 { return m.Misses }},
+			{reccache.StatusShared, func(m reccache.Metrics) int64 { return m.Shared }},
+		}
+		for _, c := range foldCounters {
+			get := c.get
+			reg.CounterFunc("reccache_fold_lookups_total", "Frontier fold lookups: hits priced a cached fold, misses folded, shared joined a fold in flight.",
+				func() float64 { return float64(get(e.folds.Metrics())) }, obs.L("status", string(c.status)))
+		}
 	}
 
 	e.metrics.Store(m)

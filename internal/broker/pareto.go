@@ -63,7 +63,7 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 	if _, err := c.assignmentForPlan(req.AsIs); err != nil {
 		return nil, err
 	}
-	front, err := c.problem.ParetoContext(ctx)
+	front, err := c.problem.ParetoContext(e.withFolds(ctx))
 	if err != nil || len(front) == 0 {
 		return nil, err
 	}

@@ -245,7 +245,7 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 	}
 	cfg := req.Solver
 	cfg.Strategy = e.strategyFor(req)
-	rec, err := c.recommend(ctx, cfg, asIs)
+	rec, err := c.recommend(e.withFolds(ctx), cfg, asIs)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/jobs"
 	"uptimebroker/internal/jobstore"
+	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/telemetry"
 )
 
@@ -154,6 +155,43 @@ func TestServerRestartRecovery(t *testing.T) {
 	}
 	if fresh.ID <= "job-00000003" {
 		t.Fatalf("post-restart ID %s does not increase past job-00000003", fresh.ID)
+	}
+}
+
+// TestRecoveredTooLargeKeepsCode: a job that failed because its
+// answer was too large reads answer_too_large both in the incarnation
+// that ran it and after a restart recovers it from the journal.
+func TestRecoveredTooLargeKeepsCode(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	ts1, srv1, client1 := newDurableServer(t, dir)
+	snap, err := srv1.jobs.Submit(JobKindPareto, nil, func(context.Context) (any, error) {
+		return nil, jobFailure(fmt.Errorf("broker: %w", optimize.ErrFrontierStateCap))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := client1.WaitJob(ctx, snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.State != "failed" || live.Error == nil || live.Error.Code != CodeAnswerTooLarge {
+		t.Fatalf("live job = %s / %+v, want failed / answer_too_large", live.State, live.Error)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	ts2, srv2, client2 := newDurableServer(t, dir)
+	defer func() { ts2.Close(); srv2.Close() }()
+	recovered, err := client2.GetJob(ctx, snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered.State != "failed" || recovered.Error == nil || recovered.Error.Code != CodeAnswerTooLarge {
+		t.Fatalf("recovered job = %s / %+v, want failed / answer_too_large", recovered.State, recovered.Error)
+	}
+	if recovered.Error.Detail != live.Error.Detail {
+		t.Fatalf("recovered detail %q, want %q", recovered.Error.Detail, live.Error.Detail)
 	}
 }
 

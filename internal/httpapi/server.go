@@ -598,10 +598,10 @@ func (s *Server) handleCards(w http.ResponseWriter, r *http.Request) {
 
 // engineCode classifies an engine failure: a valid request whose
 // answer is too large to compute or list exactly (the frontier DP's
-// state cap, the card cap) is answer_too_large, anything else the
-// request's own fault.
+// state cap, the card cap, or a job failure journaled as either) is
+// answer_too_large, anything else the request's own fault.
 func engineCode(err error) string {
-	if errors.Is(err, optimize.ErrFrontierStateCap) || errors.Is(err, broker.ErrCardCap) {
+	if errors.Is(err, optimize.ErrFrontierStateCap) || errors.Is(err, broker.ErrCardCap) || errors.Is(err, jobs.ErrTooLarge) {
 		return CodeAnswerTooLarge
 	}
 	return CodeInvalidRequest

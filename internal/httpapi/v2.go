@@ -190,9 +190,25 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 		ctx = broker.WithStrategyReport(ctx, func(strategy string) {
 			jobs.ReportStrategy(jobCtx, strategy)
 		})
-		return run(ctx)
+		res, err := run(ctx)
+		return res, jobFailure(err)
 	}, nil
 }
+
+// jobFailure marks an answer_too_large engine failure with
+// jobs.ErrTooLarge, which the job journal keeps across a restart; the
+// message stays the engine's.
+func jobFailure(err error) error {
+	if err == nil || engineCode(err) != CodeAnswerTooLarge {
+		return err
+	}
+	return tooLargeError{err}
+}
+
+// tooLargeError is an engine failure that also matches jobs.ErrTooLarge.
+type tooLargeError struct{ error }
+
+func (e tooLargeError) Unwrap() []error { return []error{e.error, jobs.ErrTooLarge} }
 
 // jobResolver rebuilds recovered jobs' Fns from their journaled
 // payloads; jobs.Open calls it for every job re-queued at startup.

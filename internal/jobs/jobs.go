@@ -186,6 +186,13 @@ var (
 	// ErrRestartLost marks a job that was mid-run when the broker
 	// died: its partial work is gone and the client must resubmit.
 	ErrRestartLost = errors.New("jobs: job interrupted by broker restart")
+
+	// ErrTooLarge marks a job whose request was valid but whose answer
+	// is too large to compute or list exactly. The job's Fn wraps such
+	// failures in it — the store cannot tell why an Fn failed — and
+	// recovery restores it, so the failure keeps its meaning across
+	// restarts.
+	ErrTooLarge = errors.New("jobs: answer too large")
 )
 
 // job is the store's internal record.

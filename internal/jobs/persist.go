@@ -27,6 +27,7 @@ const (
 	classRestartLost   = "restart_lost"
 	classRequest       = "request"
 	classResultEvicted = "result_evicted"
+	classTooLarge      = "too_large"
 )
 
 // maxPersistResultBytes caps how large a serialized result the
@@ -48,6 +49,8 @@ func classify(err error) string {
 		return classCancelled
 	case errors.Is(err, ErrPanic), errors.Is(err, ErrClosed):
 		return classInternal
+	case errors.Is(err, ErrTooLarge):
+		return classTooLarge
 	default:
 		return classRequest
 	}
@@ -81,6 +84,8 @@ func errFromRecord(rec jobstore.Record) error {
 		sentinel = ErrRestartLost
 	case rec.ErrClass == classInternal:
 		sentinel = ErrPanic
+	case rec.ErrClass == classTooLarge:
+		sentinel = ErrTooLarge
 	}
 	if sentinel == nil {
 		return errors.New(msg)

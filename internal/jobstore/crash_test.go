@@ -17,11 +17,15 @@ import (
 // CrashMode, reopens, and asserts the recovery invariant:
 //
 //	recovered state == fold of events[0:m] for some m,
-//	with m >= number of acknowledged events when fsync is on.
+//	with m >= number of acknowledged events when fsync is on,
+//	less any acknowledged progress events at the tail.
 //
-// "No acknowledged event lost" is the lower bound on m; "no torn
-// record surfaces" and "snapshot rename is atomic" both follow from
-// the recovered state matching an exact prefix fold — garbage or a
+// "No acknowledged event lost" is the lower bound on m. Progress
+// records are advisory and acknowledged before they are flushed, so
+// the bound spares them only until a later durable append is
+// acknowledged: that append's flush covers them. "No torn record
+// surfaces" and "snapshot rename is atomic" both follow from the
+// recovered state matching an exact prefix fold — garbage or a
 // half-installed snapshot matches no prefix.
 
 // workloadEvents is the deterministic event sequence. Times are fixed
@@ -44,6 +48,29 @@ func workloadEvents() []Event {
 	}
 }
 
+// progressTailEvents is the workload followed by a fourth job that
+// starts and reports progress: the run ends in an advisory append that
+// no durable append follows.
+func progressTailEvents() []Event {
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	at := func(i int) time.Time { return t0.Add(time.Duration(i) * time.Second) }
+	return append(workloadEvents(),
+		Event{Type: EventSubmitted, Time: at(11), ID: "j4", Seq: 4, Kind: "pareto", Payload: json.RawMessage(`{"n":4}`)},
+		Event{Type: EventStarted, Time: at(12), ID: "j4"},
+		Event{Type: EventProgress, Time: at(13), ID: "j4", Evaluated: 40, SpaceSize: 100},
+	)
+}
+
+// durableFloor is the recovery lower bound once acked events of evs
+// were acknowledged under fsync or group commit: every one of them,
+// less the progress events after the last durable one.
+func durableFloor(evs []Event, acked int) int {
+	for acked > 0 && evs[acked-1].Type == EventProgress {
+		acked--
+	}
+	return acked
+}
+
 // compactAfter marks the workload indices followed by a Compact, so
 // the walk crosses snapshot-install and WAL-truncate boundaries with
 // both live and swept records in play.
@@ -54,11 +81,16 @@ var compactAfter = map[int]bool{4: true, 8: true}
 // that returned nil — the events the caller was told are durable —
 // and attempted counts appends that were issued at all.
 func runCrashWorkload(fsys faultfs.FS, opts []FileOption) (acked, attempted int, err error) {
+	return runCrashEvents(fsys, opts, workloadEvents())
+}
+
+// runCrashEvents is runCrashWorkload over any event sequence.
+func runCrashEvents(fsys faultfs.FS, opts []FileOption, evs []Event) (acked, attempted int, err error) {
 	f, err := OpenFile("data", append([]FileOption{WithFS(fsys)}, opts...)...)
 	if err != nil {
 		return 0, 0, err
 	}
-	for i, ev := range workloadEvents() {
+	for i, ev := range evs {
 		attempted = i + 1
 		if err := f.Append(ev); err != nil {
 			return acked, attempted, err
@@ -74,18 +106,25 @@ func runCrashWorkload(fsys faultfs.FS, opts []FileOption) (acked, attempted int,
 }
 
 // foldPrefix is the reference model: the pure fold of the first m
-// workload events, bypassing the disk entirely.
-func foldPrefix(m int) Snapshot {
+// events, bypassing the disk entirely.
+func foldPrefix(evs []Event, m int) Snapshot {
 	st := newState()
-	for _, ev := range workloadEvents()[:m] {
+	for _, ev := range evs[:m] {
 		st.apply(ev)
 	}
 	return st.snapshot()
 }
 
 // assertRecoversPrefix reopens the crash image and checks the
-// recovered state against every admissible prefix fold.
+// recovered state against every admissible prefix fold of the
+// workload.
 func assertRecoversPrefix(t *testing.T, img *faultfs.Mem, minM, maxM int, ctx string) {
+	t.Helper()
+	assertRecoversEvents(t, img, workloadEvents(), minM, maxM, ctx)
+}
+
+// assertRecoversEvents is assertRecoversPrefix over any event sequence.
+func assertRecoversEvents(t *testing.T, img *faultfs.Mem, evs []Event, minM, maxM int, ctx string) {
 	t.Helper()
 	f, err := OpenFile("data", WithFS(img))
 	if err != nil {
@@ -101,7 +140,7 @@ func assertRecoversPrefix(t *testing.T, img *faultfs.Mem, minM, maxM int, ctx st
 		t.Fatalf("%s: marshaling snapshot: %v", ctx, err)
 	}
 	for m := minM; m <= maxM; m++ {
-		want, err := json.Marshal(foldPrefix(m))
+		want, err := json.Marshal(foldPrefix(evs, m))
 		if err != nil {
 			t.Fatalf("fold prefix %d: %v", m, err)
 		}
@@ -115,11 +154,13 @@ func assertRecoversPrefix(t *testing.T, img *faultfs.Mem, minM, maxM int, ctx st
 
 // TestCrashEnumerationDurable walks every crash point under every
 // crash mode with power-loss durability on (per-append fsync, and the
-// group-commit variant which promises the same). At every point the
+// group-commit variant which promises the same), over the workload and
+// over one that ends in a progress append. At every point the
 // recovered state must be a prefix fold that includes every
-// acknowledged event: fsync-on acks are never lost, torn records are
-// never replayed, and the snapshot rename (with its parent-directory
-// fsync) is atomic.
+// acknowledged event except progress records no later acknowledged
+// durable append covers: fsync-on acks of durable events are never
+// lost, torn records are never replayed, and the snapshot rename (with
+// its parent-directory fsync) is atomic.
 func TestCrashEnumerationDurable(t *testing.T) {
 	variants := []struct {
 		name string
@@ -128,39 +169,51 @@ func TestCrashEnumerationDurable(t *testing.T) {
 		{"fsync", []FileOption{WithFsync()}},
 		{"group", []FileOption{WithGroupCommit()}},
 	}
+	workloads := []struct {
+		name string
+		evs  []Event
+	}{
+		{"workload", workloadEvents()},
+		{"progress-tail", progressTailEvents()},
+	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			// Fault-free run: establishes the boundary count and that the
-			// workload itself is sound.
-			mem := faultfs.NewMem()
-			inj := faultfs.NewInjector(mem)
-			acked, _, err := runCrashWorkload(inj, v.opts)
-			if err != nil {
-				t.Fatalf("fault-free run: %v", err)
-			}
-			if acked != len(workloadEvents()) {
-				t.Fatalf("fault-free run acked %d of %d", acked, len(workloadEvents()))
-			}
-			total := inj.Ops()
-			if total < len(workloadEvents()) {
-				t.Fatalf("implausible boundary count %d", total)
-			}
-			assertRecoversPrefix(t, mem.Crash(faultfs.CrashDropUnsynced), acked, acked, "fault-free")
-
-			for c := 1; c <= total; c++ {
-				for _, mode := range faultfs.CrashModes {
+			for _, w := range workloads {
+				t.Run(w.name, func(t *testing.T) {
+					// Fault-free run: establishes the boundary count and that the
+					// workload itself is sound.
 					mem := faultfs.NewMem()
-					inj := faultfs.NewInjector(mem, faultfs.CrashAt(c))
-					acked, attempted, err := runCrashWorkload(inj, v.opts)
-					if err == nil {
-						t.Fatalf("crash point %d: workload finished without crashing", c)
+					inj := faultfs.NewInjector(mem)
+					acked, _, err := runCrashEvents(inj, v.opts, w.evs)
+					if err != nil {
+						t.Fatalf("fault-free run: %v", err)
 					}
-					img := mem.Crash(mode)
-					ctx := fmt.Sprintf("%s/crash-at-%d/%s", v.name, c, mode)
-					// Lower bound: every acked event survives. Upper bound:
-					// at most the in-flight append can additionally surface.
-					assertRecoversPrefix(t, img, acked, attempted, ctx)
-				}
+					if acked != len(w.evs) {
+						t.Fatalf("fault-free run acked %d of %d", acked, len(w.evs))
+					}
+					total := inj.Ops()
+					if total < durableFloor(w.evs, len(w.evs)) {
+						t.Fatalf("implausible boundary count %d", total)
+					}
+					assertRecoversEvents(t, mem.Crash(faultfs.CrashDropUnsynced), w.evs, durableFloor(w.evs, acked), acked, "fault-free")
+
+					for c := 1; c <= total; c++ {
+						for _, mode := range faultfs.CrashModes {
+							mem := faultfs.NewMem()
+							inj := faultfs.NewInjector(mem, faultfs.CrashAt(c))
+							acked, attempted, err := runCrashEvents(inj, v.opts, w.evs)
+							if err == nil {
+								t.Fatalf("crash point %d: workload finished without crashing", c)
+							}
+							img := mem.Crash(mode)
+							ctx := fmt.Sprintf("%s/%s/crash-at-%d/%s", v.name, w.name, c, mode)
+							// Lower bound: every acked event survives, trailing
+							// progress aside. Upper bound: at most the in-flight
+							// append can additionally surface.
+							assertRecoversEvents(t, img, w.evs, durableFloor(w.evs, acked), attempted, ctx)
+						}
+					}
+				})
 			}
 		})
 	}

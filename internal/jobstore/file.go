@@ -50,7 +50,10 @@ type fileSnapshot struct {
 // snapshot install) to an fsync for power-loss durability at a
 // per-append latency cost the package benchmarks quantify, and
 // WithGroupCommit keeps the same durability while coalescing
-// concurrent appends into shared flushes.
+// concurrent appends into shared flushes. Under either, an
+// EventProgress record is the one exception: it is written in order
+// but acknowledged unflushed, and reaches the disk with the next
+// durable append's flush.
 //
 // All filesystem access goes through a faultfs.FS (the real one by
 // default; WithFS injects a simulated or faulty one), and any
@@ -102,7 +105,9 @@ type FileOption func(*File)
 // returning, and every compaction fsync the snapshot before the
 // rename commits it, so acknowledged events survive a power loss —
 // not just a process crash. Expect each append to cost a disk flush;
-// BenchmarkFileAppend reports the difference.
+// BenchmarkFileAppend reports the difference. Progress records are
+// not flushed on their own: the next durable append's flush covers
+// them.
 func WithFsync() FileOption {
 	return func(f *File) { f.fsync = true }
 }
@@ -114,7 +119,8 @@ func WithFsync() FileOption {
 // meantime rides along, and later appends wait for the next round.
 // Under concurrent load this recovers most of the nosync throughput
 // at fsync durability (one disk flush amortizes over the whole
-// batch); a lone appender degrades to WithFsync behavior. It
+// batch); a lone appender degrades to WithFsync behavior. Progress
+// records do not wait for a flush; the next one covers them. It
 // supersedes WithFsync when both are set.
 func WithGroupCommit() FileOption {
 	return func(f *File) { f.group = true }
@@ -291,7 +297,11 @@ func (f *File) append(ev Event) error {
 	}
 	f.writeSeq++
 	seq := f.writeSeq
-	if f.fsync && !f.group {
+	// Progress records are advisory: recovery fails a job that was
+	// running anyway, so they are written in order but ride on the
+	// next durable append's flush instead of paying for their own.
+	durable := ev.Type != EventProgress
+	if durable && f.fsync && !f.group {
 		if err := f.syncWAL(f.wal); err != nil {
 			// The kernel may have dropped the unflushed pages; nothing
 			// written from here on is trustworthy. Latch fail-stop.
@@ -303,7 +313,7 @@ func (f *File) append(ev Event) error {
 	f.st.apply(ev)
 	f.mu.Unlock()
 
-	if f.group {
+	if durable && f.group {
 		return f.awaitFlush(seq)
 	}
 	return nil

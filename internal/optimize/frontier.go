@@ -94,9 +94,8 @@ type frontierRun struct {
 	pt    progressTicker
 	space int64
 
-	// back[i] holds the back-pointers of the states kept after folding
-	// component i.
-	back [][]frontierLink
+	// folds, when set, memoizes the run's fold (see WithFoldCache).
+	folds FoldCache
 
 	// Scratch reused across levels.
 	order []int32
@@ -105,12 +104,13 @@ type frontierRun struct {
 	fw    fenwickMinF
 }
 
-// fold runs the filtered levels: components 0..n-2. It returns the
-// kept states of the last filtered level, in lexicographic prefix
-// order; the caller folds component n-1 onto them unfiltered.
-func (r *frontierRun) fold() ([]frontierState, error) {
+// fold runs the filtered levels: components 0..n-2. Its Fold holds
+// the kept states of the last filtered level; the caller folds
+// component n-1 onto them unfiltered.
+func (r *frontierRun) fold() (*Fold, error) {
 	e := r.ev
 	n := len(e.arity)
+	f := &Fold{}
 	states := []frontierState{{acc: availability.NewAccumulator(), parent: -1}}
 	below := r.space // candidates below one state of the current level
 	for i := 0; i < n-1; i++ {
@@ -126,7 +126,9 @@ func (r *frontierRun) fold() ([]frontierState, error) {
 			}
 		}
 		kept := r.filter(next)
-		r.pt.advance(int64(len(next)-len(kept)) * below)
+		dropped := int64(len(next)-len(kept)) * below
+		f.dropped += dropped
+		r.pt.advance(dropped)
 		if len(kept) > maxFrontierStates {
 			return nil, ErrFrontierStateCap
 		}
@@ -134,10 +136,12 @@ func (r *frontierRun) fold() ([]frontierState, error) {
 		for j := range kept {
 			links[j] = frontierLink{kept[j].parent, kept[j].v}
 		}
-		r.back = append(r.back, links)
+		f.back = append(f.back, links)
 		states = kept
 	}
-	return states, nil
+	// A copy, so a cached fold holds no more than the kept states.
+	f.last = slices.Clone(states)
+	return f, nil
 }
 
 // spend polls cancellation and the budget, then accounts one fold.
@@ -209,51 +213,95 @@ func (r *frontierRun) filter(states []frontierState) []frontierState {
 	return kept
 }
 
-// assignment rebuilds the full assignment ending in variant v folded
-// onto state si of the last filtered level.
-func (r *frontierRun) assignment(si, v int) Assignment {
-	n := len(r.ev.arity)
-	a := make(Assignment, n)
-	a[n-1] = v
-	for i := n - 2; i >= 0; i-- {
-		l := r.back[i][si]
-		a[i] = int(l.v)
-		si = int(l.parent)
-	}
-	return a
-}
-
-// frontierLeaf is one priced complete assignment: variant v folded
-// onto state si of the last filtered level.
+// frontierLeaf is one complete assignment, variant v folded onto
+// state si of the last filtered level, with all that pricing it needs
+// besides the term.
 type frontierLeaf struct {
 	si, v  int
 	ha     int
+	cost   cost.Money
 	uptime float64
-	tco    cost.TCO
 }
 
-// leaves folds the last component onto every kept state and prices
-// each completion, in lexicographic order.
-func (r *frontierRun) leaves(states []frontierState, visit func(frontierLeaf)) error {
+// leaves folds the last component onto every kept state of f and
+// visits each completion, in lexicographic order.
+func (r *frontierRun) leaves(f *Fold, visit func(frontierLeaf)) error {
 	e := r.ev
 	last := len(e.arity) - 1
-	sla := e.p.SLA
-	for si := range states {
+	for si := range f.last {
 		for v := 0; v < e.arity[last]; v++ {
 			if err := r.spend(); err != nil {
 				return err
 			}
-			c := states[si].child(e, last, v, si)
-			up := c.acc.Uptime()
-			visit(frontierLeaf{si: si, v: v, ha: c.ha, uptime: up, tco: cost.Compute(c.cost, sla, up)})
-			r.pt.advance(1)
+			c := f.last[si].child(e, last, v, si)
+			visit(frontierLeaf{si: si, v: v, ha: c.ha, cost: c.cost, uptime: c.acc.Uptime()})
 		}
 	}
 	return nil
 }
 
+// front collects the leaves of f on the (HA cost, uptime) front: the
+// leaves no other leaf matches or beats on both, by ascending HA cost,
+// each exact tie represented by its first leaf in presentation order.
+func (r *frontierRun) front(f *Fold) error {
+	var all []frontierLeaf
+	if err := r.leaves(f, func(l frontierLeaf) { all = append(all, l) }); err != nil {
+		return err
+	}
+	// all is in lexicographic order, so a stable sort on (cost,
+	// uptime, clustered count) leaves exact ties in presentation order.
+	slices.SortStableFunc(all, func(x, y frontierLeaf) int {
+		if c := cmp.Compare(x.cost, y.cost); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(y.uptime, x.uptime); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ha, y.ha)
+	})
+	for _, l := range all {
+		if len(f.front) == 0 || l.uptime > f.front[len(f.front)-1].uptime {
+			f.front = append(f.front, l)
+		}
+	}
+	return nil
+}
+
+// build runs the filtered levels and, when withFront is set, collects
+// the front.
+func (r *frontierRun) build(withFront bool) (*Fold, error) {
+	f, err := r.fold()
+	if err != nil || !withFront {
+		return f, err
+	}
+	return f, r.front(f)
+}
+
+// prepare returns the run's fold, with its front when withFront is
+// set: from the fold cache when the run has one, built here
+// otherwise. Either way the ticker ends at the fold's share of the
+// space, so the leaves' progress follows on from it.
+func (r *frontierRun) prepare(withFront bool) (*Fold, error) {
+	if r.folds == nil {
+		return r.build(withFront)
+	}
+	f, err := r.folds.Fold(r.cc.ctx, r.ev.foldKey(), func(ctx context.Context) (*Fold, error) {
+		return newFrontierRun(ctx, r.ev, Budget{}, true).build(true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A build that ran for this call reported at most this much to its
+	// hook on the way; a cached or shared fold reported nothing to it.
+	r.pt.advance(f.dropped)
+	return f, nil
+}
+
+// newFrontierRun sets up one DP pass. Only an unbudgeted
+// presentation-order run takes the context's fold cache: budgeted
+// runs may stop early, and the lexicographic order's folds differ.
 func newFrontierRun(ctx context.Context, ev *Evaluator, b Budget, presentation bool) *frontierRun {
-	return &frontierRun{
+	r := &frontierRun{
 		ev:           ev,
 		presentation: presentation,
 		cc:           canceler{ctx: ctx},
@@ -261,6 +309,10 @@ func newFrontierRun(ctx context.Context, ev *Evaluator, b Budget, presentation b
 		pt:           newProgressTicker(ctx, ev.p),
 		space:        int64(ev.p.SpaceSize()),
 	}
+	if presentation && b.IsZero() {
+		r.folds = foldCacheFrom(ctx)
+	}
+	return r
 }
 
 // frontierSearch is the frontier strategy. In lexicographic tie order
@@ -312,38 +364,42 @@ func (p *Problem) frontierSearch(ctx context.Context, b Budget, presentation boo
 // improvements replace. SLA-meeting leaves carry no penalty, so the
 // same comparison picks BestNoPenalty by HA cost.
 func (r *frontierRun) solve() (Result, error) {
-	states, err := r.fold()
+	f, err := r.prepare(false)
 	if err != nil {
 		return Result{}, err
 	}
 	var res Result
 	var best, meet frontierLeaf
+	var bestTotal, meetTotal cost.Money
 	found := false
-	target := r.ev.p.SLA.Target()
-	improves := func(l, inc frontierLeaf) bool {
-		if lt, it := l.tco.Total(), inc.tco.Total(); lt != it {
-			return lt < it
+	sla := r.ev.p.SLA
+	target := sla.Target()
+	improves := func(l frontierLeaf, total cost.Money, inc frontierLeaf, incTotal cost.Money) bool {
+		if total != incTotal {
+			return total < incTotal
 		}
 		if r.presentation {
 			return l.ha < inc.ha
 		}
 		return l.uptime > inc.uptime
 	}
-	if err := r.leaves(states, func(l frontierLeaf) {
-		if res.Evaluated == 0 || improves(l, best) {
-			best = l
+	if err := r.leaves(f, func(l frontierLeaf) {
+		total := cost.Compute(l.cost, sla, l.uptime).Total()
+		if res.Evaluated == 0 || improves(l, total, best, bestTotal) {
+			best, bestTotal = l, total
 		}
-		if l.uptime >= target && (!found || improves(l, meet)) {
-			meet, found = l, true
+		if l.uptime >= target && (!found || improves(l, total, meet, meetTotal)) {
+			meet, meetTotal, found = l, total, true
 		}
 		res.Evaluated++
+		r.pt.advance(1)
 	}); err != nil {
 		return Result{}, err
 	}
-	res.Best = Candidate{Assignment: r.assignment(best.si, best.v), Uptime: best.uptime, TCO: best.tco}
+	res.Best = f.candidate(best, sla)
 	if found {
 		res.NoPenaltyFound = true
-		res.BestNoPenalty = Candidate{Assignment: r.assignment(meet.si, meet.v), Uptime: meet.uptime, TCO: meet.tco}
+		res.BestNoPenalty = f.candidate(meet, sla)
 	}
 	return res, nil
 }
@@ -355,39 +411,25 @@ func (r *frontierRun) solve() (Result, error) {
 // tied on both, the one first in presentation order (fewest clustered
 // components, then lexicographic) represents them. The space is
 // capped only by the shape ceiling; a level that outgrows the DP's
-// state cap fails. Cancellation and
-// WithProgress reporting behave as in the other searches.
+// state cap fails. Cancellation, WithProgress reporting and a
+// WithFoldCache cache behave as in the other searches; with a cached
+// fold only the front's candidates are priced.
 func (p *Problem) ParetoContext(ctx context.Context) ([]Candidate, error) {
 	ev, err := newEvaluatorShape(p)
 	if err != nil {
 		return nil, err
 	}
 	r := newFrontierRun(ctx, ev, Budget{}, true)
-	states, err := r.fold()
+	f, err := r.prepare(true)
 	if err != nil {
 		return nil, err
 	}
-	var all []frontierLeaf
-	if err := r.leaves(states, func(l frontierLeaf) { all = append(all, l) }); err != nil {
-		return nil, err
-	}
+	// The front accounts for every leaf.
+	r.pt.advance(r.space - r.pt.n)
 	r.pt.done()
-	// all is in lexicographic order, so a stable sort on (cost,
-	// uptime, clustered count) leaves exact ties in presentation order.
-	slices.SortStableFunc(all, func(x, y frontierLeaf) int {
-		if c := cmp.Compare(x.tco.HA, y.tco.HA); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(y.uptime, x.uptime); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.ha, y.ha)
-	})
-	var front []Candidate
-	for _, l := range all {
-		if len(front) == 0 || l.uptime > front[len(front)-1].Uptime {
-			front = append(front, Candidate{Assignment: r.assignment(l.si, l.v), Uptime: l.uptime, TCO: l.tco})
-		}
+	front := make([]Candidate, len(f.front))
+	for i, l := range f.front {
+		front[i] = f.candidate(l, p.SLA)
 	}
 	return front, nil
 }

@@ -243,9 +243,10 @@ func solveConfig(ctx context.Context, p *Problem, cfg SolverConfig, presentation
 
 // solveBeside answers in presentation order from a frontier run and
 // takes the effort statistics from the named solver. Only the solver
-// reports progress, so watchers see one pass over the space.
+// reports progress, so watchers see one pass over the space, and the
+// frontier run folds for itself, as named strategies always have.
 func (p *Problem) solveBeside(ctx context.Context, name string) (Result, error) {
-	quiet := WithProgress(ctx, nil)
+	quiet := WithFoldCache(WithProgress(ctx, nil), nil)
 	res, err := p.frontierSearch(quiet, Budget{}, true)
 	if err == nil && res.Approximate {
 		// The state cap stopped the DP, and the named strategy is exact:

@@ -15,7 +15,10 @@
 // Capacity is bounded two ways — a maximum entry count and an
 // approximate byte budget (callers supply a size estimate per value)
 // — with an optional TTL for deployments that want time-based
-// freshness on top of epoch addressing.
+// freshness on top of epoch addressing. A Partition carves a second
+// key space out of the same bounds: its entries compete with the
+// cache's own for the one LRU order, entry cap and byte budget, but
+// its keys never alias theirs and it counts its own Metrics.
 package reccache
 
 import (
@@ -103,9 +106,23 @@ func (m Metrics) HitRate() float64 {
 	return float64(m.Hits+m.Shared) / float64(total)
 }
 
+// space is one key space of a Cache — its own, or a Partition's:
+// that space's counters and occupancy. The LRU order and both bounds
+// belong to the cache and span every space.
+type space struct {
+	hits, misses, shared, evictions, expired int64
+	inflight, entries, bytes                 int64
+}
+
+// slot addresses one key within one space.
+type slot struct {
+	sp  *space
+	key string
+}
+
 // entry is one cached value.
 type entry struct {
-	key   string
+	slot  slot
 	val   any
 	bytes int64
 	added time.Time
@@ -135,12 +152,38 @@ type Cache struct {
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	inflight map[string]*flight
-	bytes    int64
+	items    map[slot]*list.Element
+	inflight map[slot]*flight
+	bytes    int64 // over every space, against MaxBytes
 
-	hits, misses, shared, evictions, expired int64
+	own space
 }
+
+// Partition is a key space inside a Cache, for a second kind of value
+// that should share the cache's bounds rather than get its own: its
+// entries sit in the cache's LRU order and count against its entry
+// cap and byte budget, but a key never aliases the same key of the
+// cache or of another partition, and its Do calls, flights and entries
+// are counted in its own Metrics, not the cache's. Do behaves exactly
+// as Cache.Do.
+type Partition struct {
+	c  *Cache
+	sp *space
+}
+
+// Partition returns a new, empty key space inside the cache.
+func (c *Cache) Partition() *Partition {
+	return &Partition{c: c, sp: &space{}}
+}
+
+// Do is Cache.Do within the partition's key space.
+func (p *Partition) Do(ctx context.Context, key string, fn Fn) (any, Status, error) {
+	return p.c.do(ctx, slot{p.sp, key}, fn)
+}
+
+// Metrics returns a snapshot of the partition's counters and
+// occupancy.
+func (p *Partition) Metrics() Metrics { return p.c.metrics(p.sp) }
 
 // New builds a cache with the given bounds.
 func New(cfg Config) *Cache {
@@ -151,8 +194,8 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		now:      time.Now,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
+		items:    make(map[slot]*list.Element),
+		inflight: make(map[slot]*flight),
 	}
 }
 
@@ -170,15 +213,20 @@ type Fn func(ctx context.Context) (val any, bytes int64, err error)
 // still reflects the caller's role (miss for the leader, shared for
 // joiners).
 func (c *Cache) Do(ctx context.Context, key string, fn Fn) (any, Status, error) {
+	return c.do(ctx, slot{&c.own, key}, fn)
+}
+
+func (c *Cache) do(ctx context.Context, key slot, fn Fn) (any, Status, error) {
+	sp := key.sp
 	c.mu.Lock()
 	if v, ok := c.lookupLocked(key); ok {
-		c.hits++
+		sp.hits++
 		c.mu.Unlock()
 		return v, StatusHit, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		f.waiters++
-		c.shared++
+		sp.shared++
 		c.mu.Unlock()
 		return c.wait(ctx, key, f, StatusShared)
 	}
@@ -188,19 +236,21 @@ func (c *Cache) Do(ctx context.Context, key string, fn Fn) (any, Status, error) 
 	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	c.inflight[key] = f
-	c.misses++
+	sp.inflight++
+	sp.misses++
 	c.mu.Unlock()
 	go c.run(fctx, key, f, fn)
 	return c.wait(ctx, key, f, StatusMiss)
 }
 
 // run executes fn and publishes the outcome to the flight's waiters.
-func (c *Cache) run(fctx context.Context, key string, f *flight, fn Fn) {
+func (c *Cache) run(fctx context.Context, key slot, f *flight, fn Fn) {
 	val, bytes, err := fn(fctx)
 	c.mu.Lock()
 	f.val, f.bytes, f.err = val, bytes, err
 	if !f.abandoned {
 		delete(c.inflight, key)
+		key.sp.inflight--
 	}
 	if err == nil {
 		// Cache the result even if every waiter left: the search
@@ -217,7 +267,7 @@ func (c *Cache) run(fctx context.Context, key string, f *flight, fn Fn) {
 // wait blocks until the flight completes or the caller's own context
 // is done. A caller that gives up stops waiting without disturbing
 // the others; the last one out cancels the computation.
-func (c *Cache) wait(ctx context.Context, key string, f *flight, status Status) (any, Status, error) {
+func (c *Cache) wait(ctx context.Context, key slot, f *flight, status Status) (any, Status, error) {
 	select {
 	case <-f.done:
 		return f.val, status, f.err
@@ -227,6 +277,7 @@ func (c *Cache) wait(ctx context.Context, key string, f *flight, status Status) 
 		if f.waiters == 0 && !f.abandoned {
 			f.abandoned = true
 			delete(c.inflight, key)
+			key.sp.inflight--
 			f.cancel()
 		}
 		c.mu.Unlock()
@@ -236,7 +287,7 @@ func (c *Cache) wait(ctx context.Context, key string, f *flight, status Status) 
 
 // lookupLocked finds a live entry, handling TTL expiry and LRU
 // promotion.
-func (c *Cache) lookupLocked(key string) (any, bool) {
+func (c *Cache) lookupLocked(key slot) (any, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -244,7 +295,7 @@ func (c *Cache) lookupLocked(key string) (any, bool) {
 	e := el.Value.(*entry)
 	if c.cfg.TTL > 0 && c.now().Sub(e.added) > c.cfg.TTL {
 		c.removeLocked(el)
-		c.expired++
+		key.sp.expired++
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
@@ -253,24 +304,28 @@ func (c *Cache) lookupLocked(key string) (any, bool) {
 
 // insertLocked adds or refreshes an entry, then evicts from the LRU
 // tail until the bounds hold again.
-func (c *Cache) insertLocked(key string, val any, bytes int64) {
+func (c *Cache) insertLocked(key slot, val any, bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += bytes - e.bytes
+		key.sp.bytes += bytes - e.bytes
 		e.val, e.bytes, e.added = val, bytes, c.now()
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&entry{key: key, val: val, bytes: bytes, added: c.now()})
+		el := c.ll.PushFront(&entry{slot: key, val: val, bytes: bytes, added: c.now()})
 		c.items[key] = el
 		c.bytes += bytes
+		key.sp.bytes += bytes
+		key.sp.entries++
 	}
 	for c.ll.Len() > c.cfg.MaxEntries ||
 		(c.cfg.MaxBytes > 0 && c.bytes > c.cfg.MaxBytes && c.ll.Len() > 1) {
-		c.removeLocked(c.ll.Back())
-		c.evictions++
+		victim := c.ll.Back()
+		c.removeLocked(victim)
+		victim.Value.(*entry).slot.sp.evictions++
 	}
 }
 
@@ -278,8 +333,10 @@ func (c *Cache) insertLocked(key string, val any, bytes int64) {
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
-	delete(c.items, e.key)
+	delete(c.items, e.slot)
 	c.bytes -= e.bytes
+	e.slot.sp.bytes -= e.bytes
+	e.slot.sp.entries--
 }
 
 // Get returns the cached value for key without computing anything. It
@@ -287,37 +344,41 @@ func (c *Cache) removeLocked(el *list.Element) {
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.lookupLocked(key); ok {
-		c.hits++
+	if v, ok := c.lookupLocked(slot{&c.own, key}); ok {
+		c.own.hits++
 		return v, true
 	}
-	c.misses++
+	c.own.misses++
 	return nil, false
 }
 
-// Purge drops every cached entry (in-flight computations are left to
-// finish and re-insert). It exists for operational resets; routine
-// invalidation happens through epoch-bearing keys instead.
+// Purge drops every cached entry, partitions' included (in-flight
+// computations are left to finish and re-insert). It exists for
+// operational resets; routine invalidation happens through
+// epoch-bearing keys instead.
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.bytes = 0
+	for c.ll.Len() > 0 {
+		c.removeLocked(c.ll.Back())
+	}
 }
 
-// Metrics returns a snapshot of the counters.
-func (c *Cache) Metrics() Metrics {
+// Metrics returns a snapshot of the cache's own counters and
+// occupancy; partitions report theirs separately.
+func (c *Cache) Metrics() Metrics { return c.metrics(&c.own) }
+
+func (c *Cache) metrics(sp *space) Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Metrics{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Shared:    c.shared,
-		Evictions: c.evictions,
-		Expired:   c.expired,
-		Inflight:  int64(len(c.inflight)),
-		Entries:   int64(c.ll.Len()),
-		Bytes:     c.bytes,
+		Hits:      sp.hits,
+		Misses:    sp.misses,
+		Shared:    sp.shared,
+		Evictions: sp.evictions,
+		Expired:   sp.expired,
+		Inflight:  sp.inflight,
+		Entries:   sp.entries,
+		Bytes:     sp.bytes,
 	}
 }

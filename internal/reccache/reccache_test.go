@@ -402,3 +402,96 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("inflight leak: %+v", m)
 	}
 }
+
+// TestPartitionKeySpaces pins what a Partition shares with its cache
+// and what it keeps apart: the same key addresses different values in
+// the two spaces, each space counts only its own calls and entries,
+// and the entry cap and byte budget bound both together, evicting
+// across spaces in one LRU order.
+func TestPartitionKeySpaces(t *testing.T) {
+	c := New(Config{MaxEntries: 3, MaxBytes: 250})
+	p := c.Partition()
+	put := func(do func(context.Context, string, Fn) (any, Status, error), k string, v int, bytes int64) (any, Status) {
+		t.Helper()
+		got, st, err := do(context.Background(), k, func(ctx context.Context) (any, int64, error) {
+			return &value{n: v}, bytes, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, st
+	}
+	own, _ := put(c.Do, "k", 1, 100)
+	part, st := put(p.Do, "k", 2, 100)
+	if st != StatusMiss || part.(*value).n != 2 {
+		t.Fatalf("partition Do on the cache's key = %q %+v, want its own miss", st, part)
+	}
+	if again, st := put(c.Do, "k", 3, 100); st != StatusHit || again != own {
+		t.Fatalf("cache Do after the partition's insert = %q %+v, want its own hit", st, again)
+	}
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 1 || m.Entries != 1 || m.Bytes != 100 {
+		t.Fatalf("cache metrics = %+v, want 1 hit, 1 miss, 1 entry of 100 bytes", m)
+	}
+	if m := p.Metrics(); m.Hits != 0 || m.Misses != 1 || m.Entries != 1 || m.Bytes != 100 || m.Inflight != 0 {
+		t.Fatalf("partition metrics = %+v, want 1 miss, 1 entry of 100 bytes", m)
+	}
+
+	// 300 bytes > 250: the least recently used entry goes, and that is
+	// the partition's (the cache's own was just hit).
+	put(c.Do, "other", 4, 100)
+	if m := p.Metrics(); m.Entries != 0 || m.Bytes != 0 || m.Evictions != 1 {
+		t.Fatalf("partition metrics after a cache insert = %+v, want its entry evicted", m)
+	}
+	if m := c.Metrics(); m.Entries != 2 || m.Evictions != 0 {
+		t.Fatalf("cache metrics = %+v, want 2 entries, none evicted", m)
+	}
+
+	c.Purge()
+	put(p.Do, "k", 5, 10)
+	c.Purge()
+	if m, n := c.Metrics(), p.Metrics(); m.Entries != 0 || m.Bytes != 0 || n.Entries != 0 || n.Bytes != 0 {
+		t.Fatalf("after Purge: cache %+v, partition %+v", m, n)
+	}
+}
+
+// TestPartitionSingleflight: concurrent partition calls for one key
+// share one run, and the flight is counted in the partition alone.
+func TestPartitionSingleflight(t *testing.T) {
+	c := New(Config{})
+	p := c.Partition()
+	release := make(chan struct{})
+	var runs atomic.Int64
+	fn := func(ctx context.Context) (any, int64, error) {
+		runs.Add(1)
+		<-release
+		return &value{n: 1}, 1, nil
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := p.Do(context.Background(), "k", fn); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for p.Metrics().Misses+p.Metrics().Shared < callers {
+		time.Sleep(time.Millisecond)
+	}
+	if m, n := c.Metrics(), p.Metrics(); m.Inflight != 0 || n.Inflight != 1 {
+		t.Fatalf("inflight: cache %d, partition %d; want 0 and 1", m.Inflight, n.Inflight)
+	}
+	close(release)
+	wg.Wait()
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("fn ran %d times, want 1", got)
+	}
+	if m := p.Metrics(); m.Misses != 1 || m.Shared != callers-1 || m.Inflight != 0 {
+		t.Fatalf("partition metrics = %+v", m)
+	}
+	if m := c.Metrics(); m.Misses != 0 || m.Shared != 0 {
+		t.Fatalf("cache metrics = %+v, want the partition's flight uncounted", m)
+	}
+}
