@@ -171,6 +171,44 @@ func BenchmarkPareto(b *testing.B) {
 	}
 }
 
+// BenchmarkParetoFreshTerm is a customer negotiating terms on a
+// symmetric n=18 architecture: a cached engine answers a fresh SLA and
+// penalty each iteration, so every call after the first prices the
+// cached fold of the architecture.
+func BenchmarkParetoFreshTerm(b *testing.B) {
+	const n = 18
+	cat := catalog.Default()
+	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat},
+		broker.WithResultCache(NewResultCache(CacheConfig{})))
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := broker.Request{
+		Base:         topology.System{Name: "symmetric", Provider: catalog.ProviderSoftLayerSim},
+		AllowedTechs: map[string][]string{},
+	}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("c%02d", i)
+		req.Base.Components = append(req.Base.Components, topology.Component{Name: name, Layer: topology.LayerCompute, ActiveNodes: 1})
+		req.AllowedTechs[name] = []string{catalog.TechESXHA}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.SLA = cost.SLA{
+			UptimePercent: 95 + float64(i%4000)/1000,
+			Penalty:       cost.Penalty{PerHour: cost.Dollars(float64(50 + i%500))},
+		}
+		front, err := engine.Pareto(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(front) != n+1 {
+			b.Fatalf("%d frontier cards, want %d", len(front), n+1)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // LIFECYCLE: one observe-then-reoptimize epoch.
 // ---------------------------------------------------------------------------

@@ -32,12 +32,14 @@
 // (X-Cache: shared); any catalog mutation or telemetry observation
 // re-addresses everything, so stale answers are never served. The
 // same cache holds the frontier folds behind the answers, keyed by
-// what each fold reads, so a fresh SLA term on a known architecture
-// only prices a cached fold.
+// what each fold reads: a fresh SLA term on a known architecture only
+// prices a cached fold, and pareto answers, never stored, report that
+// fold lookup as X-Cache.
 // -cache-entries bounds the cache (0 disables caching entirely),
 // -cache-bytes adds an approximate memory budget (0 = unlimited), and
 // -cache-ttl ages entries out (0 = no expiry). GET /v1/metrics
-// reports the hit/miss/shared/inflight counters and both epochs.
+// reports the recommendation hit/miss/shared/inflight counters and
+// both epochs.
 //
 // Routes (see docs/api.md for request/response shapes):
 //

@@ -206,17 +206,18 @@ func WithDefaultStrategy(strategy string) EngineOption {
 }
 
 // WithResultCache attaches a content-addressed result cache:
-// Recommend and Pareto answer repeated identical requests from it in
-// O(1) and collapse concurrent identical requests into one search.
-// Keys embed the catalog epoch (and the parameter source's epoch,
-// when it exposes one), so catalog mutations and fresh telemetry
-// invalidate every dependent entry automatically. Cached results are
-// shared across callers and must be treated as read-only.
+// Recommend answers repeated identical requests from it in O(1) and
+// collapses concurrent identical requests into one search. Keys embed
+// the catalog epoch (and the parameter source's epoch, when it exposes
+// one), so catalog mutations and fresh telemetry invalidate every
+// dependent entry automatically. Cached results are shared across
+// callers and must be treated as read-only.
 //
 // The same cache, in a partition of its own, holds the frontier folds
 // behind those results, keyed by what the fold reads rather than by
 // epoch: a request that misses the result cache but compiles to an
-// architecture already folded only prices the fold under its term.
+// architecture already folded only prices the fold under its term —
+// all a Pareto call ever does, since Pareto stores no answer.
 func WithResultCache(c *reccache.Cache) EngineOption {
 	return func(e *Engine) { e.cache = c }
 }
@@ -242,19 +243,6 @@ func New(cat *catalog.Catalog, params ParamSource, opts ...EngineOption) (*Engin
 	}
 	e.InstrumentMetrics(e.pendingMetrics)
 	return e, nil
-}
-
-// strategyFor resolves the solver strategy for one request: the
-// request's choice (nested spelling first), else the engine default,
-// else auto (the empty string, which optimize.Solve resolves to auto).
-func (e *Engine) strategyFor(req Request) string {
-	if req.Solver.Strategy != "" {
-		return req.Solver.Strategy
-	}
-	if req.Strategy != "" {
-		return req.Strategy
-	}
-	return e.defaultStrategy
 }
 
 // Catalog exposes the engine's catalog for read-only use by the HTTP

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -468,6 +469,27 @@ func TestOptionCardLabelEdgeCases(t *testing.T) {
 	}
 	if !strings.Contains(OptionCard{Choices: []Choice{{Component: "a", TechID: "t1"}, {Component: "b", TechID: "t2"}}}.Label(), ",") {
 		t.Fatal("multi-choice label should be comma separated")
+	}
+}
+
+// TestOptionCardLabelOneAllocation: an 18-choice label is built in one
+// allocation, and it reads as the choices joined by commas.
+func TestOptionCardLabelOneAllocation(t *testing.T) {
+	var c OptionCard
+	var parts []string
+	for i := 0; i < 18; i++ {
+		ch := Choice{Component: fmt.Sprintf("tier-%02d", i)}
+		if i%3 != 1 {
+			ch.TechID = "esx-ha"
+			parts = append(parts, ch.Component+"="+ch.TechID)
+		}
+		c.Choices = append(c.Choices, ch)
+	}
+	if got, want := c.Label(), strings.Join(parts, ","); got != want {
+		t.Fatalf("Label() = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.Label() }); allocs > 1 {
+		t.Fatalf("Label() made %v allocations, want at most 1", allocs)
 	}
 }
 

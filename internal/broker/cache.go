@@ -10,20 +10,22 @@ import (
 // cacheReportKey carries the WithCacheReport hook.
 type cacheReportKey struct{}
 
-// WithCacheReport attaches a hook that hears how the engine's result
-// cache answered a Recommend or Pareto call: "hit" (served from the
-// cache, no search ran), "miss" (this call ran the search) or
-// "shared" (this call joined another caller's identical in-flight
-// search). The hook fires once per call, after the result is
-// available; it never fires on engines without a cache, which is how
-// the HTTP layer decides whether to emit an X-Cache header at all.
+// WithCacheReport attaches a hook that hears how the engine's cache
+// answered a Recommend or Pareto call: "hit" (served from the cache, no
+// search ran), "miss" (this call ran the search) or "shared" (this call
+// joined another caller's identical in-flight search). Recommend
+// reports its result-cache lookup, Pareto its fold lookup. The hook
+// fires once per successful call, after the result is available; it
+// never fires on engines without a cache, which is how the HTTP layer
+// decides whether to emit an X-Cache header at all.
 func WithCacheReport(ctx context.Context, fn func(status string)) context.Context {
 	return context.WithValue(ctx, cacheReportKey{}, fn)
 }
 
-// reportCacheStatus invokes a WithCacheReport hook, if any.
+// reportCacheStatus invokes a WithCacheReport hook, if any, with a
+// status that is set (a call on an engine without a cache has none).
 func reportCacheStatus(ctx context.Context, status reccache.Status) {
-	if fn, ok := ctx.Value(cacheReportKey{}).(func(status string)); ok {
+	if fn, ok := ctx.Value(cacheReportKey{}).(func(status string)); ok && status != "" {
 		fn(string(status))
 	}
 }
@@ -68,7 +70,7 @@ func (e *Engine) Recommend(ctx context.Context, req Request) (*Recommendation, e
 	if e.cache == nil {
 		return e.recommend(ctx, req)
 	}
-	v, status, err := e.cache.Do(ctx, e.cacheKey("recommend", req), func(fctx context.Context) (any, int64, error) {
+	v, status, err := e.cache.Do(ctx, e.cacheKey(req), func(fctx context.Context) (any, int64, error) {
 		rec, err := e.recommend(fctx, req)
 		if err != nil {
 			return nil, 0, err
@@ -82,49 +84,29 @@ func (e *Engine) Recommend(ctx context.Context, req Request) (*Recommendation, e
 	return v.(*Recommendation), nil
 }
 
-// Pareto runs the brokerage and returns only the cost × uptime
-// frontier cards (see pareto). Caching behaves exactly as on
-// Recommend — normalized content-addressed lookups, singleflight
-// collapse, shared read-only results, WithCacheReport — under keys
-// disjoint from Recommend's (the two answer shapes never alias).
-func (e *Engine) Pareto(ctx context.Context, req Request) ([]OptionCard, error) {
-	req = e.normalize(req)
-	if e.cache == nil {
-		return e.pareto(ctx, req)
-	}
-	v, status, err := e.cache.Do(ctx, e.cacheKey("pareto", req), func(fctx context.Context) (any, int64, error) {
-		front, err := e.pareto(fctx, req)
-		if err != nil {
-			return nil, 0, err
-		}
-		return front, cardsBytes(front), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	reportCacheStatus(ctx, status)
-	return v.([]OptionCard), nil
-}
-
 // withFolds attaches the engine's fold cache to ctx, when the engine
 // has one. optimize consults it only where a fold may be shared: an
-// unbudgeted frontier run in presentation order.
-func (e *Engine) withFolds(ctx context.Context) context.Context {
+// unbudgeted frontier run in presentation order. A non-nil status
+// hears how the lookup was answered.
+func (e *Engine) withFolds(ctx context.Context, status *reccache.Status) context.Context {
 	if e.folds == nil {
 		return ctx
 	}
-	return optimize.WithFoldCache(ctx, foldCache{e.folds})
+	return optimize.WithFoldCache(ctx, foldCache{e.folds, status})
 }
 
 // foldCache serves optimize's folds from the result cache's fold
 // partition. The content address is optimize's: a hash of exactly what
 // the fold reads, with no epoch, since a catalog edit or an
 // observation that moves a fold's inputs moves its address too.
-type foldCache struct{ p *reccache.Partition }
+type foldCache struct {
+	p      *reccache.Partition
+	status *reccache.Status
+}
 
 // Fold implements optimize.FoldCache.
 func (c foldCache) Fold(ctx context.Context, key string, build func(context.Context) (*optimize.Fold, error)) (*optimize.Fold, error) {
-	v, _, err := c.p.Do(ctx, key, func(fctx context.Context) (any, int64, error) {
+	v, status, err := c.p.Do(ctx, key, func(fctx context.Context) (any, int64, error) {
 		f, err := build(fctx)
 		if err != nil {
 			return nil, 0, err
@@ -133,6 +115,9 @@ func (c foldCache) Fold(ctx context.Context, key string, build func(context.Cont
 	})
 	if err != nil {
 		return nil, err
+	}
+	if c.status != nil {
+		*c.status = status
 	}
 	return v.(*optimize.Fold), nil
 }

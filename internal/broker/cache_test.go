@@ -2,12 +2,14 @@ package broker
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"uptimebroker/internal/availability"
 	"uptimebroker/internal/catalog"
+	"uptimebroker/internal/cost"
 	"uptimebroker/internal/reccache"
 	"uptimebroker/internal/topology"
 )
@@ -40,7 +42,7 @@ func newCachedTestEngine(t *testing.T, cfg reccache.Config) (*Engine, *countingP
 func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	e := newTestEngine(t)
 	base := e.normalize(CaseStudy())
-	baseKey := e.cacheKey("recommend", base)
+	baseKey := e.cacheKey(base)
 
 	// Allowed-techs list order and duplicates must not move the key.
 	shuffled := CaseStudy()
@@ -52,7 +54,7 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 		}
 		shuffled.AllowedTechs[name] = rev
 	}
-	if got := e.cacheKey("recommend", e.normalize(shuffled)); got != baseKey {
+	if got := e.cacheKey(e.normalize(shuffled)); got != baseKey {
 		t.Fatal("allowed-techs order/duplication changed the cache key")
 	}
 
@@ -62,7 +64,7 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	for i := range explicit.Base.Components {
 		explicit.Base.Components[i].Class = explicit.Base.Components[i].EffectiveClass()
 	}
-	if got := e.cacheKey("recommend", e.normalize(explicit)); got != baseKey {
+	if got := e.cacheKey(e.normalize(explicit)); got != baseKey {
 		t.Fatal("explicit default class changed the cache key")
 	}
 
@@ -72,10 +74,10 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	delete(missing.AsIs, "compute")
 	explicitBaseline := CaseStudy()
 	explicitBaseline.AsIs["compute"] = ""
-	if e.cacheKey("recommend", e.normalize(missing)) != e.cacheKey("recommend", e.normalize(explicitBaseline)) {
+	if e.cacheKey(e.normalize(missing)) != e.cacheKey(e.normalize(explicitBaseline)) {
 		t.Fatal("explicit baseline as-is entry should hash like a missing entry")
 	}
-	if e.cacheKey("recommend", e.normalize(missing)) == baseKey {
+	if e.cacheKey(e.normalize(missing)) == baseKey {
 		t.Fatal("dropping a real as-is entry should change the key")
 	}
 }
@@ -93,35 +95,34 @@ func TestCacheKeySeparatesSemanticDifferences(t *testing.T) {
 		keys[label] = key
 	}
 	base := CaseStudy()
-	add("base", e.cacheKey("recommend", e.normalize(base)))
-	add("pareto kind", e.cacheKey("pareto", e.normalize(base)))
+	add("base", e.cacheKey(e.normalize(base)))
 
 	sla := CaseStudy()
 	sla.SLA.UptimePercent += 0.5
-	add("sla", e.cacheKey("recommend", e.normalize(sla)))
+	add("sla", e.cacheKey(e.normalize(sla)))
 
 	strat := CaseStudy()
 	strat.Strategy = "exhaustive"
-	add("strategy", e.cacheKey("recommend", e.normalize(strat)))
+	add("strategy", e.cacheKey(e.normalize(strat)))
 
 	// nil as-is (no incumbent) and empty as-is (all-baseline
 	// incumbent) are different requests with different answers.
 	noAsIs := CaseStudy()
 	noAsIs.AsIs = nil
-	add("nil as-is", e.cacheKey("recommend", e.normalize(noAsIs)))
+	add("nil as-is", e.cacheKey(e.normalize(noAsIs)))
 	emptyAsIs := CaseStudy()
 	emptyAsIs.AsIs = Plan{}
-	add("empty as-is", e.cacheKey("recommend", e.normalize(emptyAsIs)))
+	add("empty as-is", e.cacheKey(e.normalize(emptyAsIs)))
 
 	// Component order is semantic: it defines presentation order.
 	swapped := CaseStudy()
 	swapped.Base.Components = append([]topology.Component(nil), swapped.Base.Components...)
 	swapped.Base.Components[0], swapped.Base.Components[1] = swapped.Base.Components[1], swapped.Base.Components[0]
-	add("component order", e.cacheKey("recommend", e.normalize(swapped)))
+	add("component order", e.cacheKey(e.normalize(swapped)))
 
 	// A catalog mutation must change every key.
 	e.catalog.Invalidate()
-	add("epoch bump", e.cacheKey("recommend", e.normalize(base)))
+	add("epoch bump", e.cacheKey(e.normalize(base)))
 }
 
 func TestRecommendCacheHitSkipsSearch(t *testing.T) {
@@ -174,7 +175,11 @@ func TestRecommendCacheHitSkipsSearch(t *testing.T) {
 	}
 }
 
-func TestParetoCacheIsDisjointFromRecommend(t *testing.T) {
+// TestParetoAfterRecommendSharesFold: Pareto stores no answer of its
+// own, so after a Recommend of the same request it prices the fold the
+// Recommend built, and the cache holds the Recommend result and that
+// fold.
+func TestParetoAfterRecommendSharesFold(t *testing.T) {
 	e, _, cache := newCachedTestEngine(t, reccache.Config{})
 	req := CaseStudy()
 	if _, err := e.Recommend(context.Background(), req); err != nil {
@@ -186,8 +191,8 @@ func TestParetoCacheIsDisjointFromRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Pareto: %v", err)
 	}
-	if status != "miss" {
-		t.Fatalf("first Pareto after Recommend = %q, want miss (disjoint keys)", status)
+	if status != "hit" {
+		t.Fatalf("Pareto after Recommend = %q, want hit (one fold)", status)
 	}
 	front2, err := e.Pareto(ctx, req)
 	if err != nil {
@@ -196,11 +201,45 @@ func TestParetoCacheIsDisjointFromRecommend(t *testing.T) {
 	if status != "hit" {
 		t.Fatalf("second Pareto = %q, want hit", status)
 	}
-	if len(front2) != len(front) {
-		t.Fatal("cached frontier diverges")
+	if !reflect.DeepEqual(front2, front) {
+		t.Fatal("frontier from the cached fold diverges")
 	}
-	if m := cache.Metrics(); m.Entries != 2 {
-		t.Fatalf("cache entries = %d, want 2 (recommend + pareto)", m.Entries)
+	if m := cache.Metrics(); m.Entries != 1 || m.Hits+m.Misses+m.Shared != 1 {
+		t.Fatalf("result metrics = %+v, want the Recommend entry and lookup alone", m)
+	}
+	if m := e.folds.Metrics(); m.Entries != 1 || m.Misses != 1 || m.Hits != 2 {
+		t.Fatalf("fold metrics = %+v, want one entry, 1 miss and 2 hits", m)
+	}
+}
+
+// TestParetoFreshTermsKeepOneFold: fresh SLA terms on one architecture
+// leave one cache entry, its fold — the first call folds, every later
+// one prices the cached fold, and no call touches the result cache.
+func TestParetoFreshTermsKeepOneFold(t *testing.T) {
+	e, _, cache := newCachedTestEngine(t, reccache.Config{})
+	const calls = 6
+	var statuses []string
+	ctx := WithCacheReport(context.Background(), func(s string) { statuses = append(statuses, s) })
+	for i := 0; i < calls; i++ {
+		req := wideRequest(12)
+		req.SLA.UptimePercent = 95 + 0.5*float64(i)
+		req.SLA.Penalty.PerHour = cost.Dollars(float64(50 + 25*i))
+		if _, err := e.Pareto(ctx, req); err != nil {
+			t.Fatalf("term %d: %v", i, err)
+		}
+	}
+	if m := cache.Metrics(); m != (reccache.Metrics{}) {
+		t.Fatalf("result metrics = %+v, want untouched", m)
+	}
+	if m := e.folds.Metrics(); m.Entries != 1 || m.Misses != 1 || m.Hits != calls-1 || m.Shared != 0 {
+		t.Fatalf("fold metrics = %+v, want one entry, 1 miss and %d hits", m, calls-1)
+	}
+	want := []string{"miss"}
+	for len(want) < calls {
+		want = append(want, "hit")
+	}
+	if !reflect.DeepEqual(statuses, want) {
+		t.Fatalf("cache reports = %v, want %v", statuses, want)
 	}
 }
 
@@ -253,6 +292,9 @@ func TestUncachedEngineStillRecommends(t *testing.T) {
 	fired := false
 	ctx := WithCacheReport(context.Background(), func(string) { fired = true })
 	if _, err := e.Recommend(ctx, CaseStudy()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Pareto(ctx, CaseStudy()); err != nil {
 		t.Fatal(err)
 	}
 	if fired {

@@ -2,9 +2,8 @@ package broker
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -86,62 +85,75 @@ func (e *Engine) normalize(req Request) Request {
 	return req
 }
 
-// cacheKey is the content address of a normalized request: a stable
-// hash over everything the result depends on — the catalog epoch, the
-// parameter source epoch (when exposed), the result kind, and every
-// semantic request field. Computing it costs one SHA-256 over a few
-// hundred bytes; no compilation, no catalog lookups beyond the two
-// epoch loads. Anything that could change the answer must change the
-// key: that single property is the cache's whole invalidation story.
-func (e *Engine) cacheKey(kind string, req Request) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v1|%s|cat=%d|", kind, e.catalog.Epoch())
+// cacheKey is the content address of a normalized Recommend request:
+// a SHA-256 over the binary form of everything the answer depends on —
+// the catalog epoch, the parameter source epoch (when exposed) and every
+// semantic request field, strings and maps led by their size, numbers
+// fixed-width, so no two requests share an encoding. Anything that could
+// change the answer must change the key: that single property is the
+// result cache's whole invalidation story.
+func (e *Engine) cacheKey(req Request) string {
+	k := keyBuf(make([]byte, 0, 128+96*len(req.Base.Components)))
+	k.str("recommend/v2")
+	k.u64(e.catalog.Epoch())
 	if epoch, ok := e.ParamsEpoch(); ok {
-		fmt.Fprintf(h, "params=%d|", epoch)
+		k.u64(epoch)
 	}
-	fmt.Fprintf(h, "sys=%q|provider=%q|", req.Base.Name, req.Base.Provider)
-	for _, comp := range req.Base.Components {
-		fmt.Fprintf(h, "comp=%q,%d,%d,%q|", comp.Name, comp.Layer, comp.ActiveNodes, comp.Class)
+	k.str(req.Base.Name)
+	k.str(req.Base.Provider)
+	k.u64(uint64(len(req.Base.Components)))
+	for _, c := range req.Base.Components {
+		k.str(c.Name)
+		k.u64(uint64(c.Layer))
+		k.u64(uint64(c.ActiveNodes))
+		k.str(c.Class)
 	}
-	// Floats hash by their exact bit pattern: no formatting rounding.
-	fmt.Fprintf(h, "sla=%x,pen=%d|", math.Float64bits(req.SLA.UptimePercent), req.SLA.Penalty.PerHour)
-	if req.AsIs != nil {
-		io.WriteString(h, "asis|")
-		writeSortedPairs(h, req.AsIs)
+	k.u64(math.Float64bits(req.SLA.UptimePercent))
+	k.u64(uint64(req.SLA.Penalty.PerHour))
+	// A nil as-is plan (no incumbent) and an empty one (an all-baseline
+	// incumbent) are different requests: a plan's size is offset by one.
+	if req.AsIs == nil {
+		k.u64(0)
+	} else {
+		k.u64(uint64(len(req.AsIs)) + 1)
 	}
-	if req.AllowedTechs != nil {
-		io.WriteString(h, "allowed|")
-		names := make([]string, 0, len(req.AllowedTechs))
-		for name := range req.AllowedTechs {
-			names = append(names, name)
+	for _, name := range sortedKeys(req.AsIs) {
+		k.str(name)
+		k.str(req.AsIs[name])
+	}
+	// Nil and empty menus both leave every component unrestricted.
+	k.u64(uint64(len(req.AllowedTechs)))
+	for _, name := range sortedKeys(req.AllowedTechs) {
+		k.str(name)
+		k.u64(uint64(len(req.AllowedTechs[name])))
+		for _, id := range req.AllowedTechs[name] {
+			k.str(id)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(h, "%q=", name)
-			for _, id := range req.AllowedTechs[name] {
-				fmt.Fprintf(h, "%q,", id)
-			}
-			io.WriteString(h, "|")
-		}
 	}
-	fmt.Fprintf(h, "strategy=%q", req.Strategy)
+	k.str(req.Strategy)
 	// The budget is hashed only when set, so a nested spelling that
 	// only names a strategy stays byte-identical to the flat spelling's
-	// address.
+	// address. Being last and fixed-width, it needs no marker.
 	if b := req.Solver.Budget; !b.IsZero() {
-		fmt.Fprintf(h, "|budget=%d,%d", int64(b.Wall), b.MaxEvaluations)
+		k.u64(uint64(b.Wall))
+		k.u64(uint64(b.MaxEvaluations))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(k)
+	return hex.EncodeToString(sum[:])
 }
 
-// writeSortedPairs hashes a string map deterministically.
-func writeSortedPairs(w io.Writer, m map[string]string) {
+// keyBuf accumulates cacheKey's binary form.
+type keyBuf []byte
+
+func (k *keyBuf) u64(v uint64) { *k = binary.LittleEndian.AppendUint64(*k, v) }
+func (k *keyBuf) str(s string) { k.u64(uint64(len(s))); *k = append(*k, s...) }
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%q=%q|", k, m[k])
-	}
+	return keys
 }

@@ -3,6 +3,8 @@ package broker
 import (
 	"context"
 	"sort"
+
+	"uptimebroker/internal/reccache"
 )
 
 // ParetoCards filters option cards to the cost × uptime frontier: a
@@ -37,19 +39,20 @@ func ParetoCards(cards []OptionCard) []OptionCard {
 	return front
 }
 
-// pareto runs the frontier search for one normalized request; the
-// exported entry point is Pareto (cache.go), which layers
-// normalization and the result cache on top. The context cancels the
-// search like recommend's.
+// Pareto runs the brokerage and returns only the cost × uptime
+// frontier cards: exactly ParetoCards over the full card listing, ties
+// to the lowest option number included. The frontier DP yields them
+// from its last level, so the k^n space is never enumerated and only
+// the DP's state cap applies (optimize.ErrFrontierStateCap). Progress
+// hooks see the single k^n space; the context cancels the search.
 //
-// Nothing here needs every card: the optimizer's frontier DP returns
-// the cost × uptime frontier from its last level, so the k^n space is
-// never enumerated and the MaxCandidates cap does not apply (the DP's
-// state cap does: optimize.ErrFrontierStateCap). The cards are exactly
-// ParetoCards over the full card listing, ties to the lowest option
-// number included. Progress
-// hooks see the single k^n space.
-func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) {
+// The answer is never stored. With a result cache attached, every call
+// prices the memoized front of its architecture's cached fold under its
+// own term, and a WithCacheReport hook hears that fold lookup: "miss"
+// when this call ran the DP, "hit" when no search ran, "shared" when
+// it joined another call's fold build.
+func (e *Engine) Pareto(ctx context.Context, req Request) ([]OptionCard, error) {
+	req = e.normalize(req)
 	c, err := e.compile(req)
 	if err != nil {
 		return nil, err
@@ -63,8 +66,9 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 	if _, err := c.assignmentForPlan(req.AsIs); err != nil {
 		return nil, err
 	}
-	front, err := c.problem.ParetoContext(e.withFolds(ctx))
-	if err != nil || len(front) == 0 {
+	var status reccache.Status
+	front, err := c.problem.ParetoContext(e.withFolds(ctx, &status))
+	if err != nil {
 		return nil, err
 	}
 	rk := newRanker(c.problem)
@@ -72,5 +76,6 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 	for i, cand := range front {
 		cards[i] = c.card(rk, cand)
 	}
+	reportCacheStatus(ctx, status)
 	return cards, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"uptimebroker/internal/cost"
@@ -56,20 +57,28 @@ type OptionCard struct {
 // Label renders the card's HA selection compactly, e.g.
 // "storage=raid1" or "none".
 func (c OptionCard) Label() string {
-	s := ""
+	n := 0
 	for _, ch := range c.Choices {
-		if ch.TechID == "" {
-			continue
+		if ch.TechID != "" {
+			n += len(ch.Component) + len(ch.TechID) + 2 // "=" and ","
 		}
-		if s != "" {
-			s += ","
-		}
-		s += ch.Component + "=" + ch.TechID
 	}
-	if s == "" {
+	if n == 0 {
 		return NoHALabel
 	}
-	return s
+	var b strings.Builder
+	b.Grow(n)
+	for _, ch := range c.Choices {
+		if ch.TechID != "" {
+			if b.Len() > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(ch.Component)
+			b.WriteByte('=')
+			b.WriteString(ch.TechID)
+		}
+	}
+	return b.String()
 }
 
 // Plan converts the card's choices into a Plan.
@@ -243,9 +252,8 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 	if err != nil {
 		return nil, err
 	}
-	cfg := req.Solver
-	cfg.Strategy = e.strategyFor(req)
-	rec, err := c.recommend(e.withFolds(ctx), cfg, asIs)
+	// normalize has resolved the strategy into req.Solver.
+	rec, err := c.recommend(e.withFolds(ctx, nil), req.Solver, asIs)
 	if err != nil {
 		return nil, err
 	}

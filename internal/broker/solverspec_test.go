@@ -29,19 +29,19 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 	both.Strategy = optimize.StrategyFrontier
 	both.Solver.Strategy = optimize.StrategyFrontier
 
-	flatKey := e.cacheKey("recommend", e.normalize(flat))
+	flatKey := e.cacheKey(e.normalize(flat))
 	for name, req := range map[string]Request{"nested": nested, "both": both} {
-		if key := e.cacheKey("recommend", e.normalize(req)); key != flatKey {
+		if key := e.cacheKey(e.normalize(req)); key != flatKey {
 			t.Fatalf("%s spelling hashed to %s, flat spelling to %s — aliases must share one address", name, key, flatKey)
 		}
 	}
 
 	// A zero nested spec must also leave the default-strategy address
 	// untouched (the key tail is only appended when a budget is set).
-	plain := e.cacheKey("recommend", e.normalize(CaseStudy()))
+	plain := e.cacheKey(e.normalize(CaseStudy()))
 	zeroSpec := CaseStudy()
 	zeroSpec.Solver = optimize.SolverConfig{}
-	if key := e.cacheKey("recommend", e.normalize(zeroSpec)); key != plain {
+	if key := e.cacheKey(e.normalize(zeroSpec)); key != plain {
 		t.Fatal("zero nested spec moved the cache address of the default request")
 	}
 
@@ -50,7 +50,7 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 	budgeted := CaseStudy()
 	budgeted.Solver.Strategy = optimize.StrategyFrontier
 	budgeted.Solver.Budget.MaxEvaluations = 4
-	if key := e.cacheKey("recommend", e.normalize(budgeted)); key == flatKey {
+	if key := e.cacheKey(e.normalize(budgeted)); key == flatKey {
 		t.Fatal("budgeted request aliases the unbudgeted cache entry")
 	}
 }

@@ -4,14 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"uptimebroker/internal/broker"
 	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/reccache"
 	"uptimebroker/internal/telemetry"
+	"uptimebroker/internal/topology"
 )
 
 // newCachedTestServer is newTestServer with a result cache behind the
@@ -102,6 +109,156 @@ func TestParetoXCacheHeader(t *testing.T) {
 	}
 	if got := postJSON(t, ts, "/v1/pareto", req).Header.Get("X-Cache"); got != "hit" {
 		t.Fatalf("second pareto X-Cache = %q, want hit", got)
+	}
+}
+
+// foldLookups reads reccache_fold_lookups_total for one status off
+// GET /metrics.
+func foldLookups(t *testing.T, ts *httptest.Server, status string) float64 {
+	t.Helper()
+	body, _ := scrape(t, ts)
+	prefix := `reccache_fold_lookups_total{status="` + status + `"} `
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s%s: %v", prefix, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("exposition has no %q series", prefix)
+	return 0
+}
+
+// symmetricWire is n identical compute tiers, each with one HA
+// variant.
+func symmetricWire(n int, slaPercent float64) RecommendationRequest {
+	req := RecommendationRequest{
+		Base:              topology.System{Name: fmt.Sprintf("symmetric-%d", n), Provider: catalog.ProviderSoftLayerSim},
+		SLAPercent:        slaPercent,
+		PenaltyPerHourUSD: 150,
+		AllowedTechs:      map[string][]string{},
+	}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("tier-%02d", i)
+		req.Base.Components = append(req.Base.Components, topology.Component{
+			Name: name, Layer: topology.LayerCompute, ActiveNodes: 1, Class: topology.ClassVirtualMachine,
+		})
+		req.AllowedTechs[name] = []string{catalog.TechESXHA}
+	}
+	return req
+}
+
+// TestParetoBurstFoldsOnce: a concurrent burst of identical
+// /v2/pareto requests on an architecture not yet folded builds its
+// fold once; every other request joins that build or reads the fold it
+// left, and every body is the same.
+func TestParetoBurstFoldsOnce(t *testing.T) {
+	ts, _, _ := newCachedTestServer(t)
+	payload, err := json.Marshal(symmetricWire(14, 97))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := foldLookups(t, ts, "miss")
+	const burst = 16
+	statuses := make([]string, burst)
+	bodies := make([][]byte, burst)
+	errs := make([]error, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v2/pareto", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+			}
+			statuses[i] = resp.Header.Get("X-Cache")
+			bodies[i], err = io.ReadAll(resp.Body)
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}(i)
+	}
+	wg.Wait()
+	count := map[string]int{}
+	for i := range statuses {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("request %d answered differently:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		}
+		count[statuses[i]]++
+	}
+	if count["miss"] != 1 || count["miss"]+count["shared"]+count["hit"] != burst {
+		t.Fatalf("X-Cache counts = %v, want one miss and the rest shared or hit", count)
+	}
+	if got := foldLookups(t, ts, "miss") - misses; got != 1 {
+		t.Fatalf("burst made %v fold builds, want 1", got)
+	}
+}
+
+// TestParetoFoldOutlivesEpoch: Pareto reads the fold, which only an
+// observation that moves an estimate it reads can re-address. After
+// one that moves none it still hits while Recommend, whose results
+// carry the params epoch, misses; after one that moves the compute
+// tier's estimate it folds afresh and answers as an engine without a
+// cache.
+func TestParetoFoldOutlivesEpoch(t *testing.T) {
+	ts, client, store := newCachedTestServer(t)
+	req := caseStudyWire()
+	ctx := context.Background()
+	postJSON(t, ts, "/v2/recommendations", req)
+	if got := postJSON(t, ts, "/v2/pareto", req).Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("pareto after recommend X-Cache = %q, want hit (one fold)", got)
+	}
+
+	// An hour of exposure stays under the half-year minimum.
+	observe := func(kind string, seconds float64) {
+		t.Helper()
+		o := Observation{Provider: catalog.ProviderSoftLayerSim, Class: topology.ClassVirtualMachine, Kind: kind, Seconds: seconds}
+		if err := client.Observe(ctx, o); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+	observe(ObservationExposure, 3600)
+	if got := postJSON(t, ts, "/v2/pareto", req).Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("pareto after a no-op observation X-Cache = %q, want hit", got)
+	}
+	if got := postJSON(t, ts, "/v2/recommendations", req).Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("recommend after a no-op observation X-Cache = %q, want miss (epoch moved)", got)
+	}
+
+	// A node-year of exposure with an outage replaces the catalog
+	// default the compute tier reads.
+	observe(ObservationExposure, 365*24*3600)
+	observe(ObservationOutage, 4*3600)
+	resp := postJSON(t, ts, "/v2/pareto", req)
+	if got := resp.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("pareto after an estimate-moving observation X-Cache = %q, want miss", got)
+	}
+	var got []OptionCardDTO
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.Default()
+	plain, err := broker.New(cat, broker.TelemetryParams{Store: store, Fallback: broker.CatalogParams{Catalog: cat}, MinExposureYears: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := plain.Pareto(ctx, req.ToBroker())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fromCards(front); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pareto from a fresh fold diverges from an uncached engine:\n  got  %+v\n  want %+v", got, want)
 	}
 }
 

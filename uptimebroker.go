@@ -324,13 +324,16 @@ func WithDefaultStrategy(strategy string) EngineOption {
 }
 
 // WithResultCache fronts the engine with a content-addressed
-// recommendation cache: completed Recommend and Pareto answers are
-// stored under a stable hash of the catalog epoch, the parameter
-// epoch and the normalized request, identical requests are answered
-// from memory, and concurrent identical requests collapse onto a
-// single solver run. Any catalog mutation or telemetry observation
-// changes the epoch and therefore every content address, so stale
-// answers are never served. Build the cache with NewResultCache.
+// recommendation cache: completed Recommend answers are stored under a
+// stable hash of the catalog epoch, the parameter epoch and the
+// normalized request, identical requests are answered from memory, and
+// concurrent identical requests collapse onto a single solver run. Any
+// catalog mutation or telemetry observation changes the epoch and
+// therefore every content address, so stale answers are never served.
+// The same cache holds the frontier folds behind the answers, keyed by
+// what each fold reads; Pareto stores no answer and prices its
+// architecture's cached fold on every call. Build the cache with
+// NewResultCache.
 func WithResultCache(c *ResultCache) EngineOption {
 	return broker.WithResultCache(c)
 }
@@ -343,8 +346,9 @@ func NewResultCache(cfg CacheConfig) *ResultCache {
 }
 
 // WithCacheReport returns a context that reports how the engine's
-// result cache answered the call — "hit", "miss" or "shared" — to fn,
-// synchronously, before the engine entry point returns. The HTTP
+// cache answered the call — "hit", "miss" or "shared" — to fn,
+// synchronously, before the engine entry point returns: Recommend's
+// result lookup, or Pareto's fold lookup. The HTTP
 // layer uses it to stamp the X-Cache response header; callers without
 // a cached engine simply never hear from fn.
 func WithCacheReport(ctx context.Context, fn func(status string)) context.Context {
