@@ -5,7 +5,7 @@
 //
 //	brokerd [-addr :8080] [-quiet] [-rate-limit 0] [-rate-limit-per-client 0]
 //	        [-job-ttl 15m] [-job-workers 0] [-data-dir DIR] [-snapshot-interval 1m]
-//	        [-fsync] [-group-commit] [-default-strategy auto]
+//	        [-fsync] [-group-commit]
 //	        [-cache-entries 1024] [-cache-bytes 0] [-cache-ttl 0] [-sse-ping 15s]
 //
 // With -data-dir the async job store is durable: every submission,
@@ -20,10 +20,10 @@
 // flushes, recovering most of the throughput under load (it
 // supersedes -fsync when both are set).
 //
-// -default-strategy picks the solver used for requests that do not
-// name one ("auto", "frontier", "exhaustive" or "pruned"; the retired
-// names still run frontier); individual requests override it with their
-// "strategy" field.
+// Requests that name no solver run auto, which is the frontier DP; a
+// request's "strategy" field (or "solver" object) may name
+// "exhaustive" instead, and the retired names, "pruned" among them,
+// still run frontier.
 //
 // Completed recommendations are cached by content address: a stable
 // hash of the catalog epoch, the telemetry epoch and the normalized
@@ -38,8 +38,8 @@
 // -cache-entries bounds the cache (0 disables caching entirely),
 // -cache-bytes adds an approximate memory budget (0 = unlimited), and
 // -cache-ttl ages entries out (0 = no expiry). GET /v1/metrics
-// reports the recommendation hit/miss/shared/inflight counters and
-// both epochs.
+// reports the recommendation hit/miss/shared/inflight counters, the
+// result and fold occupancy, and both epochs.
 //
 // Routes (see docs/api.md for request/response shapes):
 //
@@ -122,7 +122,6 @@ func run(args []string) error {
 		snapInterval    = fs.Duration("snapshot-interval", time.Minute, "how often the job WAL is compacted into a snapshot (with -data-dir)")
 		fsync           = fs.Bool("fsync", false, "fsync every job WAL append for power-loss durability (with -data-dir)")
 		groupCommit     = fs.Bool("group-commit", false, "fsync durability with concurrent WAL appends coalesced into shared flushes (with -data-dir)")
-		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one: auto (default), frontier, exhaustive or pruned")
 		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results and frontier folds (0 disables the result cache)")
 		cacheBytes      = fs.Int64("cache-bytes", 0, "approximate memory budget for cached results and folds in bytes (0 = bounded by -cache-entries only)")
 		cacheTTL        = fs.Duration("cache-ttl", 0, "drop cached results older than this (0 = no expiry; epochs already invalidate on data changes)")
@@ -158,7 +157,6 @@ func run(args []string) error {
 	// layer, so GET /metrics is the whole process in one scrape.
 	registry := obs.NewRegistry()
 	engineOpts := []broker.EngineOption{
-		broker.WithDefaultStrategy(*defaultStrategy),
 		broker.WithMetricsRegistry(registry),
 	}
 	if *cacheEntries > 0 {

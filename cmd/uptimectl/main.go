@@ -138,7 +138,7 @@ func loadRequest(topologyPath string, caseStudy bool, strategy string) (httpapi.
 }
 
 // strategyUsage documents the flag shared by the request subcommands.
-const strategyUsage = "solver strategy: auto (default), frontier, exhaustive or pruned; the retired branch-and-bound, parallel-pruned, beam, lds and bounded still run frontier"
+const strategyUsage = "solver strategy: auto (default), frontier or exhaustive; the retired pruned, branch-and-bound, parallel-pruned, beam, lds and bounded still run frontier"
 
 // solverFlags are the search budget shared by recommend, pareto and
 // job submit. They populate the request's nested solver spec only
@@ -152,7 +152,7 @@ type solverFlags struct {
 // registerSolverFlags attaches the shared budget flags to fs.
 func registerSolverFlags(fs *flag.FlagSet) *solverFlags {
 	sf := &solverFlags{}
-	fs.DurationVar(&sf.budget, "budget", 0, "wall-clock search budget, e.g. 500ms; frontier stops and certifies a gap, exhaustive and pruned fail (0 = unlimited)")
+	fs.DurationVar(&sf.budget, "budget", 0, "wall-clock search budget, e.g. 500ms; frontier stops and certifies a gap, exhaustive fails (0 = unlimited)")
 	fs.Int64Var(&sf.maxEvals, "max-evaluations", 0, "cap on the evaluations the search performs; frontier and auto only (0 = unlimited)")
 	return sf
 }
@@ -329,8 +329,8 @@ func cmdMetrics(ctx context.Context, client *httpapi.Client) error {
 		c := m.Cache
 		fmt.Printf("result cache: %d hits, %d misses, %d shared (hit rate %.1f%%), %d inflight\n",
 			c.Hits, c.Misses, c.Shared, 100*c.HitRate, c.Inflight)
-		fmt.Printf("occupancy: %d entries, ~%d bytes (%d evicted, %d expired)\n",
-			c.Entries, c.Bytes, c.Evictions, c.Expired)
+		fmt.Printf("occupancy: %d entries, ~%d bytes; %d folds, ~%d bytes (%d evicted, %d expired)\n",
+			c.Entries, c.Bytes, c.FoldEntries, c.FoldBytes, c.Evictions, c.Expired)
 	}
 	printBuildInfo(m)
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -49,7 +50,7 @@ func cmdTop(ctx context.Context, client *httpapi.Client, args []string) error {
 
 // renderTop draws one dashboard frame. prev is the previous snapshot
 // (nil on the first frame), the source of all windowed rates.
-func renderTop(w *os.File, server string, snap obs.Snapshot, prev *obs.Snapshot) {
+func renderTop(w io.Writer, server string, snap obs.Snapshot, prev *obs.Snapshot) {
 	var b strings.Builder
 	b.WriteString("\x1b[H") // home
 	line := func(format string, args ...any) {
@@ -88,9 +89,9 @@ func renderTop(w *os.File, server string, snap obs.Snapshot, prev *obs.Snapshot)
 		snap.Value("jobs_running"), snap.Value("jobs_queue_depth"), rate("jobs_done_total"),
 		snap.Value("jobs_submitted_total"), snap.Value("jobs_done_total"), snap.Value("jobs_failed_total"))
 
-	solver := fmt.Sprintf("solver   %s evals/s   %s lookups/s   %.0f total evaluations   %.0f clipped   %.1f runs/s",
-		humanRate(rate("broker_evaluations_total")), humanRate(rate("solver_cover_lookups_total")),
-		snap.Value("broker_evaluations_total"), snap.Value("solver_clipped_total"), rate("solver_runs_total"))
+	solver := fmt.Sprintf("solver   %s evals/s   %.0f total evaluations   %.0f skipped   %.1f runs/s",
+		humanRate(rate("broker_evaluations_total")), snap.Value("broker_evaluations_total"),
+		snap.Value("solver_skipped_total"), rate("solver_runs_total"))
 	if gap, ok := worstSolverGap(snap); ok {
 		solver += fmt.Sprintf("   gap %.2f%%", 100*gap)
 		if exhausted := snap.Value("solver_budget_exhausted_total"); exhausted > 0 {
@@ -99,13 +100,17 @@ func renderTop(w *os.File, server string, snap obs.Snapshot, prev *obs.Snapshot)
 	}
 	line("%s", solver)
 
-	hits, misses, shared := snap.Value("reccache_hits_total"), snap.Value("reccache_misses_total"), snap.Value("reccache_shared_total")
-	if total := hits + misses + shared; total > 0 {
-		wr := windowedHitRate(snap, prev)
-		line("cache    %.1f%% hit rate (window %s)   %.0f hits  %.0f misses  %.0f shared   %.0f entries",
-			100*(hits+shared)/total, wr, hits, misses, shared, snap.Value("reccache_entries"))
+	// The occupancy gauges exist only on a caching server; folds share
+	// the cache's limits and serve Pareto requests, which never touch
+	// the result counters, so the line shows them even before any
+	// result lookup.
+	if _, ok := snap.Family("reccache_entries"); ok {
+		hits, misses, shared := snap.Value("reccache_hits_total"), snap.Value("reccache_misses_total"), snap.Value("reccache_shared_total")
+		line("cache    %s hit rate (window %s)   %.0f hits  %.0f misses  %.0f shared   %.0f entries   %.0f folds (%sB)",
+			hitRate(hits, misses, shared), windowedHitRate(snap, prev), hits, misses, shared,
+			snap.Value("reccache_entries"), snap.Value("reccache_fold_entries"), humanRate(snap.Value("reccache_fold_bytes")))
 	} else {
-		line("cache    (no traffic or disabled)")
+		line("cache    disabled")
 	}
 
 	p50, p99 := windowQuantiles(snap, prev, "http_request_seconds")
@@ -202,7 +207,12 @@ func windowedHitRate(snap obs.Snapshot, prev *obs.Snapshot) string {
 		}
 		return v
 	}
-	hits, misses, shared := d("reccache_hits_total"), d("reccache_misses_total"), d("reccache_shared_total")
+	return hitRate(d("reccache_hits_total"), d("reccache_misses_total"), d("reccache_shared_total"))
+}
+
+// hitRate renders the share of result lookups answered without a
+// search, or "-" when there were none.
+func hitRate(hits, misses, shared float64) string {
 	total := hits + misses + shared
 	if total == 0 {
 		return "-"
@@ -243,7 +253,7 @@ func ms(seconds float64) string {
 }
 
 // humanRate compacts large per-second rates (evals/sec reaches
-// millions on wide searches).
+// millions on wide searches) and byte counts.
 func humanRate(v float64) string {
 	switch {
 	case v >= 1e6:

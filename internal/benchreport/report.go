@@ -80,7 +80,7 @@ func (h Host) Comparable(o Host) bool {
 // Scenario is one measured workload.
 type Scenario struct {
 	// Name is the stable scenario identifier, e.g.
-	// "solver/pruned/n=19". Comparisons join on it.
+	// "solver/frontier/n=19". Comparisons join on it.
 	Name string `json:"name"`
 
 	// Group is the subsystem under measurement ("eval", "solver",

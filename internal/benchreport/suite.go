@@ -157,67 +157,6 @@ func frontierWideSpec() Spec {
 	}
 }
 
-// supersetIndexSpec builds one pruned-level-search scenario pinned to
-// a specific superset-index implementation, on the SLA-dense n=19
-// instance or its deeper adversarial variant (minimal met level 8,
-// C(19,8) = 75582 met assignments). "pointer" is the previous
-// pointer-linked trie, "flat" the arena trie with checkpoint resume
-// disabled; the production flat+checkpointed path is the existing
-// solver/pruned scenario, so the derived trie_flat_speedup ratios
-// split the arena-layout win from the changed-suffix amortization.
-// The reference scenarios are measured but untracked: they exist to
-// anchor the ratios, not to be optimized.
-func supersetIndexSpec(variant string, deep bool) Spec {
-	name := fmt.Sprintf("solver/pruned-%s/n=19", variant)
-	sla := optimize.BenchSLAPercent
-	if deep {
-		name = fmt.Sprintf("solver/pruned-%s-deep/n=19", variant)
-		sla = optimize.BenchSLADeepPercent
-	}
-	return Spec{
-		Name:    name,
-		Group:   "solver",
-		Tracked: false,
-		Setup: func(string) (runFunc, func(), error) {
-			p := optimize.BenchProblem(19, sla)
-			search := p.PrunedPointerTrie
-			if variant == "flat" {
-				search = p.PrunedFlatRescan
-			}
-			return func(iters int) error {
-				for i := 0; i < iters; i++ {
-					if _, err := search(context.Background()); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, func() {}, nil
-		},
-	}
-}
-
-// prunedDeepSpec is the production flat+checkpointed level search on
-// the deeper adversarial instance — the tracked counterpart the deep
-// ratio measures the pointer trie against.
-func prunedDeepSpec() Spec {
-	return Spec{
-		Name:    "solver/pruned-deep/n=19",
-		Group:   "solver",
-		Tracked: true,
-		Setup: func(string) (runFunc, func(), error) {
-			p := optimize.BenchProblem(19, optimize.BenchSLADeepPercent)
-			return func(iters int) error {
-				for i := 0; i < iters; i++ {
-					if _, err := p.PrunedContext(context.Background()); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, func() {}, nil
-		},
-	}
-}
-
 // appendSpec measures the job store's WAL append path, with or
 // without per-append fsync (brokerd -fsync).
 func appendSpec(fsync bool) Spec {
@@ -391,11 +330,8 @@ func recoverySpec() Spec {
 func Suite() []Spec {
 	specs := []Spec{
 		evalSpec(false), evalSpec(true),
-		solverSpec(optimize.StrategyPruned),
 		solverSpec(optimize.StrategyFrontier),
 		frontierWideSpec(),
-		supersetIndexSpec("pointer", false), supersetIndexSpec("flat", false),
-		prunedDeepSpec(), supersetIndexSpec("pointer", true),
 		appendSpec(false), appendSpec(true),
 		concurrentAppendSpec(false), concurrentAppendSpec(true),
 		recoverySpec(),
@@ -410,9 +346,6 @@ func Suite() []Spec {
 // scenarios. A ratio is emitted only when both scenarios ran.
 var ratioSpecs = []Ratio{
 	{Name: "eval_incremental_speedup_n19", Numerator: "eval/scratch/n=19", Denominator: "eval/incremental/n=19", HigherIsBetter: true},
-	{Name: "trie_flat_speedup_n19", Numerator: "solver/pruned-pointer/n=19", Denominator: "solver/pruned/n=19", HigherIsBetter: true},
-	{Name: "trie_checkpoint_speedup_n19", Numerator: "solver/pruned-flat/n=19", Denominator: "solver/pruned/n=19", HigherIsBetter: true},
-	{Name: "trie_flat_deep_speedup_n19", Numerator: "solver/pruned-pointer-deep/n=19", Denominator: "solver/pruned-deep/n=19", HigherIsBetter: true},
 	{Name: "fsync_cost_x", Numerator: "jobstore/append/fsync", Denominator: "jobstore/append/nosync", HigherIsBetter: false},
 	{Name: "group_commit_speedup", Numerator: "jobstore/append/fsync-concurrent", Denominator: "jobstore/append/group-commit", HigherIsBetter: true},
 	{Name: "cache_hit_speedup", Numerator: "cache/miss/n=19", Denominator: "cache/hit/n=19", HigherIsBetter: true},

@@ -123,8 +123,7 @@ type Request struct {
 	AllowedTechs map[string][]string
 
 	// Strategy names the optimize solver the search runs on, one of
-	// optimize.Strategies(). Empty falls back to the engine's default,
-	// then to "auto".
+	// optimize.Strategies() or a retired alias. Empty means "auto".
 	//
 	// Deprecated alias: Strategy is the flat spelling of Solver.Strategy
 	// and remains fully supported — normalize folds it into the nested
@@ -135,10 +134,10 @@ type Request struct {
 
 	// Solver is the nested solver specification: the strategy plus its
 	// budget. The zero value means "auto with no limits", exactly the
-	// empty flat Strategy. Exhaustive and pruned reject an evaluation
-	// cap and turn a wall budget into a deadline; frontier honors both
-	// budget kinds and, when one fires, certifies the optimality gap of
-	// its incumbent in SearchStats.
+	// empty flat Strategy. Exhaustive rejects an evaluation cap and
+	// turns a wall budget into a deadline; frontier honors both budget
+	// kinds and, when one fires, certifies the optimality gap of its
+	// incumbent in SearchStats.
 	Solver optimize.SolverConfig
 }
 
@@ -177,10 +176,9 @@ func (r Request) Validate() error {
 
 // Engine is the brokerage service core.
 type Engine struct {
-	catalog         *catalog.Catalog
-	params          ParamSource
-	defaultStrategy string
-	cache           *reccache.Cache
+	catalog *catalog.Catalog
+	params  ParamSource
+	cache   *reccache.Cache
 
 	// folds is the result cache's partition of presentation-order
 	// frontier folds (nil without a cache): see withFolds.
@@ -197,13 +195,6 @@ type Engine struct {
 
 // EngineOption customizes New.
 type EngineOption func(*Engine)
-
-// WithDefaultStrategy sets the solver strategy used for requests that
-// do not name one (the built-in default is "auto"). The strategy must
-// be registered with the optimize package; New rejects unknown names.
-func WithDefaultStrategy(strategy string) EngineOption {
-	return func(e *Engine) { e.defaultStrategy = strategy }
-}
 
 // WithResultCache attaches a content-addressed result cache:
 // Recommend answers repeated identical requests from it in O(1) and
@@ -234,10 +225,6 @@ func New(cat *catalog.Catalog, params ParamSource, opts ...EngineOption) (*Engin
 	for _, opt := range opts {
 		opt(e)
 	}
-	if !optimize.ValidStrategy(e.defaultStrategy) {
-		return nil, fmt.Errorf("broker: unknown default strategy %q (choose from %v)",
-			e.defaultStrategy, optimize.Strategies())
-	}
 	if e.cache != nil {
 		e.folds = e.cache.Partition()
 	}
@@ -249,13 +236,14 @@ func New(cat *catalog.Catalog, params ParamSource, opts ...EngineOption) (*Engin
 // layer.
 func (e *Engine) Catalog() *catalog.Catalog { return e.catalog }
 
-// CacheMetrics returns a snapshot of the result cache's counters; ok
-// is false when no cache is attached.
-func (e *Engine) CacheMetrics() (m reccache.Metrics, ok bool) {
+// CacheMetrics returns snapshots of the result cache's counters and of
+// its fold partition's, which shares the cache's entry cap and byte
+// budget; ok is false when no cache is attached.
+func (e *Engine) CacheMetrics() (results, folds reccache.Metrics, ok bool) {
 	if e.cache == nil {
-		return reccache.Metrics{}, false
+		return reccache.Metrics{}, reccache.Metrics{}, false
 	}
-	return e.cache.Metrics(), true
+	return e.cache.Metrics(), e.folds.Metrics(), true
 }
 
 // ParamsEpoch returns the parameter source's mutation epoch; ok is

@@ -224,17 +224,19 @@ func TestCaseStudyReproducesPaper(t *testing.T) {
 		}
 	}
 
-	// The Section III.C statistics come from the pruned search asked
-	// for by name (auto runs frontier): it must have clipped the #8
-	// superset of #5, and only that.
-	req := CaseStudy()
-	req.Strategy = optimize.StrategyPruned
-	pruned, err := e.Recommend(context.Background(), req)
+	// The Section III.C statistics come from the level-search
+	// reference on the compiled case study (auto runs frontier): it
+	// must have clipped the #8 superset of #5, and only that.
+	p, err := e.Compile(CaseStudy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.Search.SpaceSize != 8 || pruned.Search.Evaluated != 7 || pruned.Search.Skipped != 1 {
-		t.Fatalf("pruned search stats = %+v, want 7 evaluated + 1 skipped of 8", pruned.Search)
+	pruned, err := p.Pruned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.SpaceSize() != 8 || pruned.Evaluated != 7 || pruned.Skipped != 1 {
+		t.Fatalf("pruned search: %d evaluated + %d skipped of %d, want 7 + 1 of 8", pruned.Evaluated, pruned.Skipped, p.SpaceSize())
 	}
 }
 
@@ -308,7 +310,6 @@ func TestRecommendWithoutAsIs(t *testing.T) {
 func TestFutureWorkScenario(t *testing.T) {
 	e := newTestEngine(t)
 	req := FutureWork(catalog.ProviderSoftLayerSim)
-	req.Strategy = optimize.StrategyPruned
 	rec, err := e.Recommend(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Recommend: %v", err)
@@ -329,9 +330,9 @@ func TestFutureWorkScenario(t *testing.T) {
 	if rec.MinRiskOption == 0 {
 		t.Fatal("no option meets the 98% SLA; calibration off")
 	}
-	// Pruning must help in a 270-option space.
+	// The search must skip part of a 270-option space.
 	if rec.Search.Skipped == 0 {
-		t.Fatal("pruned search skipped nothing in the future-work space")
+		t.Fatal("search skipped nothing in the future-work space")
 	}
 }
 
@@ -493,10 +494,9 @@ func TestOptionCardLabelOneAllocation(t *testing.T) {
 	}
 }
 
-// TestStrategySelection covers the three-level strategy resolution:
-// request > engine default > auto, plus validation of unknown names.
+// TestStrategySelection covers strategy resolution: the request's
+// name, or auto when it names none, plus validation of unknown names.
 func TestStrategySelection(t *testing.T) {
-	cat := catalog.Default()
 	ctx := context.Background()
 
 	t.Run("unknown request strategy rejected", func(t *testing.T) {
@@ -504,12 +504,6 @@ func TestStrategySelection(t *testing.T) {
 		req.Strategy = "simulated-annealing"
 		if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "simulated-annealing") {
 			t.Fatalf("Validate = %v, want unknown-strategy error", err)
-		}
-	})
-
-	t.Run("unknown engine default rejected", func(t *testing.T) {
-		if _, err := New(cat, CatalogParams{Catalog: cat}, WithDefaultStrategy("nope")); err == nil {
-			t.Fatal("unknown default strategy should fail New")
 		}
 	})
 
@@ -526,22 +520,6 @@ func TestStrategySelection(t *testing.T) {
 		}
 		if rec.Search.Evaluated != rec.Search.SpaceSize || rec.Search.Skipped != 0 {
 			t.Fatalf("exhaustive stats = %+v", rec.Search)
-		}
-	})
-
-	t.Run("engine default applies when request silent", func(t *testing.T) {
-		e, err := New(cat, CatalogParams{Catalog: cat}, WithDefaultStrategy(optimize.StrategyBranchAndBound))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := e.Recommend(ctx, CaseStudy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// branch-and-bound is a retired alias: the stats echo the
-		// strategy it runs.
-		if rec.Search.Strategy != optimize.StrategyFrontier {
-			t.Fatalf("Search.Strategy = %q, want the engine default's frontier", rec.Search.Strategy)
 		}
 	})
 
@@ -562,8 +540,8 @@ func TestStrategySelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strategy := range append(optimize.Strategies(), optimize.StrategyBranchAndBound, optimize.StrategyParallelPruned,
-			optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded) {
+		for _, strategy := range append(optimize.Strategies(), optimize.StrategyPruned, optimize.StrategyBranchAndBound,
+			optimize.StrategyParallelPruned, optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded) {
 			req := CaseStudy()
 			req.Strategy = strategy
 			rec, err := e.Recommend(ctx, req)

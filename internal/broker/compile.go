@@ -101,8 +101,8 @@ func (e *Engine) compile(req Request) (*compiled, error) {
 		names = append(names, comp.Name)
 	}
 
-	// The space-size cap is left to the search: exhaustive and pruned
-	// enforce it, the frontier DP does not need it.
+	// The space-size cap is left to the search: exhaustive enforces
+	// it, the frontier DP does not need it.
 	problem := &optimize.Problem{Components: comps, SLA: req.SLA}
 	if err := problem.ValidateShape(); err != nil {
 		return nil, fmt.Errorf("broker: compiled problem invalid: %w", err)

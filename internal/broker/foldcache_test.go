@@ -135,8 +135,9 @@ func TestFoldCacheMatchesUncachedEngine(t *testing.T) {
 }
 
 // TestFoldCacheSkipsBudgetedAndNamedRuns: a budget, or a named
-// exhaustive or pruned strategy, keeps a request on the path that
-// folds for itself — it neither reads nor writes the fold cache.
+// exhaustive strategy, keeps a request on the path that folds for
+// itself — it neither reads nor writes the fold cache. The retired
+// pruned name runs frontier, so it folds through the cache like auto.
 func TestFoldCacheSkipsBudgetedAndNamedRuns(t *testing.T) {
 	cached, _, _, _ := foldTestEngines(t)
 	ctx := context.Background()
@@ -144,7 +145,6 @@ func TestFoldCacheSkipsBudgetedAndNamedRuns(t *testing.T) {
 		{Budget: optimize.Budget{MaxEvaluations: 1 << 20}},
 		{Strategy: optimize.StrategyFrontier, Budget: optimize.Budget{Wall: time.Minute}},
 		{Strategy: optimize.StrategyExhaustive},
-		{Strategy: optimize.StrategyPruned},
 	} {
 		req := wideRequest(10)
 		req.Solver = cfg
@@ -154,6 +154,14 @@ func TestFoldCacheSkipsBudgetedAndNamedRuns(t *testing.T) {
 	}
 	if m := cached.folds.Metrics(); m.Hits+m.Misses+m.Shared != 0 || m.Entries != 0 {
 		t.Fatalf("fold metrics = %+v, want no lookups and no entries", m)
+	}
+	req := wideRequest(10)
+	req.Solver.Strategy = optimize.StrategyPruned
+	if _, err := cached.Recommend(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if m := cached.folds.Metrics(); m.Misses != 1 || m.Entries != 1 {
+		t.Fatalf("fold metrics after a pruned request = %+v, want one miss and one entry", m)
 	}
 }
 

@@ -25,13 +25,11 @@ type engineMetrics struct {
 // solverMetrics is one strategy's run/throughput series. The gap gauge
 // and budget counter exist only for frontier, the one strategy that
 // can stop early and certify an incumbent — a permanent 0% gap series
-// for "pruned" would read as a claim it never makes.
+// for "exhaustive" would read as a claim it never makes.
 type solverMetrics struct {
 	runs            *obs.Counter
 	evaluated       *obs.Counter
 	skipped         *obs.Counter
-	coverLookups    *obs.Counter
-	clipped         *obs.Counter
 	seconds         *obs.Histogram
 	gap             *obs.Gauge
 	budgetExhausted *obs.Counter
@@ -48,12 +46,10 @@ func (m *engineMetrics) solverFor(strategy string) *solverMetrics {
 	}
 	l := obs.L("strategy", strategy)
 	s := &solverMetrics{
-		runs:         m.reg.Counter("solver_runs_total", "Completed solver runs per strategy.", l),
-		evaluated:    m.reg.Counter("solver_evaluated_total", "Candidates the solver priced, per strategy.", l),
-		skipped:      m.reg.Counter("solver_skipped_total", "Candidates clipped without pricing, per strategy.", l),
-		coverLookups: m.reg.Counter("solver_cover_lookups_total", "Superset-index lookups the solver performed, per strategy.", l),
-		clipped:      m.reg.Counter("solver_clipped_total", "Candidates clipped by a covering SLA-meeting assignment, per strategy.", l),
-		seconds:      m.reg.Histogram("solver_run_seconds", "End-to-end recommendation search time per strategy.", obs.ExponentialBuckets(0.0001, 4, 12), l),
+		runs:      m.reg.Counter("solver_runs_total", "Completed solver runs per strategy.", l),
+		evaluated: m.reg.Counter("solver_evaluated_total", "Candidates the solver priced, per strategy.", l),
+		skipped:   m.reg.Counter("solver_skipped_total", "Candidates resolved without pricing, per strategy.", l),
+		seconds:   m.reg.Histogram("solver_run_seconds", "End-to-end recommendation search time per strategy.", obs.ExponentialBuckets(0.0001, 4, 12), l),
 	}
 	if strategy == optimize.StrategyFrontier {
 		s.gap = m.reg.Gauge("solver_gap", "Certified relative optimality gap of the last run, per strategy (0 = proven optimal).", l)
@@ -64,11 +60,11 @@ func (m *engineMetrics) solverFor(strategy string) *solverMetrics {
 }
 
 // observeRun records one completed recommendation: the strategy's
-// search statistics (evaluations, superset-index lookups and cover
-// clips) and the run's wall time. One bulk add per run — the
-// per-candidate hot loop stays uninstrumented. Frontier runs additionally publish their
-// gap — 0 when exact, the certified gap when stopped early (skipped
-// when infinite: a gauge cannot render "no bound proven") — and count
+// search statistics (evaluated and skipped candidates) and the run's
+// wall time. One bulk add per run — the per-candidate hot loop stays
+// uninstrumented. Frontier runs additionally publish their gap — 0
+// when exact, the certified gap when stopped early (skipped when
+// infinite: a gauge cannot render "no bound proven") — and count
 // budget-stopped runs.
 func (m *engineMetrics) observeRun(stats SearchStats, seconds float64) {
 	evaluated := int64(stats.Evaluated)
@@ -77,8 +73,6 @@ func (m *engineMetrics) observeRun(stats SearchStats, seconds float64) {
 	s.runs.Inc()
 	s.evaluated.Add(evaluated)
 	s.skipped.Add(int64(stats.Skipped))
-	s.coverLookups.Add(int64(stats.CoverLookups))
-	s.clipped.Add(int64(stats.Clipped))
 	s.seconds.Observe(seconds)
 	if s.gap != nil {
 		if !math.IsInf(stats.Gap, 1) {
@@ -92,8 +86,8 @@ func (m *engineMetrics) observeRun(stats SearchStats, seconds float64) {
 
 // InstrumentMetrics attaches the engine to a metrics registry,
 // publishing the result cache's counters and occupancy, its fold
-// lookups by disposition, the catalog and parameter epochs, and the
-// solver throughput series. It is
+// lookups by disposition and fold occupancy, the catalog and
+// parameter epochs, and the solver throughput series. It is
 // idempotent: the first registry wins and later calls are no-ops, so
 // the HTTP layer can instrument an engine without knowing whether its
 // constructor already did.
@@ -145,6 +139,10 @@ func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 			func() float64 { return float64(e.cache.Metrics().Entries) })
 		reg.GaugeFunc("reccache_bytes", "Approximate bytes of cached results held.",
 			func() float64 { return float64(e.cache.Metrics().Bytes) })
+		reg.GaugeFunc("reccache_fold_entries", "Frontier folds currently held; they share the cache's entry cap.",
+			func() float64 { return float64(e.folds.Metrics().Entries) })
+		reg.GaugeFunc("reccache_fold_bytes", "Approximate bytes of frontier folds held; they share the cache's byte budget.",
+			func() float64 { return float64(e.folds.Metrics().Bytes) })
 		foldCounters := []struct {
 			status reccache.Status
 			get    func(reccache.Metrics) int64

@@ -29,10 +29,9 @@ import (
 //   - the solver spec is canonicalized to one spelling: the deprecated
 //     flat Strategy and the nested Solver.Strategy are merged (nested
 //     wins when both are set; Validate has already rejected real
-//     contradictions), resolved through the engine default down to
-//     "auto", and written back to BOTH fields — downstream code and
-//     the cache key see a single spelling no matter which alias the
-//     caller used.
+//     contradictions), an empty one becomes "auto", and the result is
+//     written back to BOTH fields — downstream code and the cache key
+//     see a single spelling no matter which alias the caller used.
 func (e *Engine) normalize(req Request) Request {
 	if len(req.AllowedTechs) > 0 {
 		at := make(map[string][]string, len(req.AllowedTechs))
@@ -74,9 +73,6 @@ func (e *Engine) normalize(req Request) Request {
 	}
 	if req.Solver.Strategy == "" {
 		req.Solver.Strategy = req.Strategy
-	}
-	if req.Solver.Strategy == "" {
-		req.Solver.Strategy = e.defaultStrategy
 	}
 	if req.Solver.Strategy == "" {
 		req.Solver.Strategy = "auto"

@@ -108,8 +108,8 @@ func WithStrategyReport(ctx context.Context, fn func(strategy string)) context.C
 	return optimize.WithStrategyReport(ctx, fn)
 }
 
-// SearchStats reports how much work the Section III.C search saved
-// relative to exhaustive enumeration, and which solver did it.
+// SearchStats reports how much work the search saved relative to
+// exhaustive enumeration, and which solver did it.
 type SearchStats struct {
 	// SpaceSize is k^n, the total number of permutations.
 	SpaceSize int `json:"space_size"`
@@ -117,18 +117,11 @@ type SearchStats struct {
 	// Evaluated is how many permutations the search priced.
 	Evaluated int `json:"evaluated"`
 
-	// Skipped is how many permutations were resolved without pricing
-	// (supersets of an SLA-meeting permutation, or completions of a
-	// dominated frontier state).
+	// Skipped is how many permutations were resolved without pricing:
+	// the completions of the frontier states the DP dropped as
+	// dominated, or the rest of the space when a budget stopped it
+	// (zero for exhaustive).
 	Skipped int `json:"skipped"`
-
-	// CoverLookups is how many superset-index lookups the search
-	// performed (zero for the exhaustive strategy).
-	CoverLookups int `json:"cover_lookups"`
-
-	// Clipped is how many permutations were clipped specifically by a
-	// covering SLA-meeting assignment (the pruned search).
-	Clipped int `json:"clipped"`
 
 	// Strategy is the concrete solver that ran: "auto" requests and
 	// the retired aliases echo what they resolved to.
@@ -238,7 +231,7 @@ func (r *Recommendation) Best() OptionCard {
 // option number — see optimize.SolvePresentation), and the as-is card
 // is one Evaluate. So the space is capped only by the search itself:
 // frontier takes any shape up to the optimizer's ceiling, exhaustive
-// and pruned keep optimize.MaxCandidates.
+// keeps optimize.MaxCandidates.
 func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, error) {
 	start := time.Now()
 	c, err := e.compile(req)
@@ -281,8 +274,6 @@ func (c *compiled) recommend(ctx context.Context, cfg optimize.SolverConfig, asI
 			SpaceSize:       c.problem.SpaceSize(),
 			Evaluated:       res.Evaluated,
 			Skipped:         res.Skipped,
-			CoverLookups:    res.CoverLookups,
-			Clipped:         res.Clipped,
 			Strategy:        res.Strategy,
 			Approximate:     res.Approximate,
 			Bound:           res.Bound,

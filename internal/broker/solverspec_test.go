@@ -36,7 +36,7 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 		}
 	}
 
-	// A zero nested spec must also leave the default-strategy address
+	// A zero nested spec must also leave the default request's address
 	// untouched (the key tail is only appended when a budget is set).
 	plain := e.cacheKey(e.normalize(CaseStudy()))
 	zeroSpec := CaseStudy()

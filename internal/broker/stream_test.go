@@ -51,12 +51,12 @@ func TestParetoMatchesParetoCards(t *testing.T) {
 	}
 }
 
-// TestRecommendExhaustiveMatchesPruned pins the three search paths
-// behind Recommend to one answer: exhaustive (the presentation-order
-// stream), pruned (frontier beside the level search) and auto
-// (frontier) give identical cards and summary on the case study and
-// its SLA shifts, each with its own statistics, and every strategy
-// hook hears the strategy that ran.
+// TestRecommendExhaustiveMatchesPruned pins the search paths behind
+// Recommend to one answer: exhaustive (the presentation-order stream)
+// and auto (frontier) give identical cards and summary on the case
+// study and its SLA shifts, each with its own statistics; the retired
+// pruned name answers exactly as auto does, statistics included; and
+// every strategy hook hears the strategy that ran.
 func TestRecommendExhaustiveMatchesPruned(t *testing.T) {
 	e := newTestEngine(t)
 	for _, sla := range []float64{90, 96, 98, 99.9} {
@@ -81,15 +81,13 @@ func TestRecommendExhaustiveMatchesPruned(t *testing.T) {
 		if ex.Search.Strategy != optimize.StrategyExhaustive || ex.Search.Evaluated != 8 || ex.Search.Skipped != 0 {
 			t.Fatalf("sla %v: exhaustive stats %+v, want 8 evaluated of 8", sla, ex.Search)
 		}
-		if pr.Search.Strategy != optimize.StrategyPruned || auto.Search.Strategy != optimize.StrategyFrontier {
-			t.Fatalf("sla %v: strategies %q and %q, want pruned and frontier", sla, pr.Search.Strategy, auto.Search.Strategy)
+		if auto.Search.Strategy != optimize.StrategyFrontier || !reflect.DeepEqual(pr, auto) {
+			t.Fatalf("sla %v: pruned answered %+v, auto %+v; want both frontier's answer", sla, pr, auto)
 		}
-		for _, other := range []*Recommendation{pr, auto} {
-			a, b := *ex, *other
-			a.Search, b.Search = SearchStats{}, SearchStats{}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("sla %v: %s answer diverges from exhaustive:\n  %+v\n  %+v", sla, other.Search.Strategy, b, a)
-			}
+		a, b := *ex, *auto
+		a.Search, b.Search = SearchStats{}, SearchStats{}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("sla %v: frontier answer diverges from exhaustive:\n  %+v\n  %+v", sla, b, a)
 		}
 	}
 }

@@ -112,6 +112,33 @@ func TestParetoXCacheHeader(t *testing.T) {
 	}
 }
 
+// TestMetricsShowFolds: folds share the cache's entry cap and byte
+// budget, so every metrics surface shows them beside the results. One
+// /v2/pareto on an architecture not yet folded stores a fold and no
+// result.
+func TestMetricsShowFolds(t *testing.T) {
+	ts, _, _ := newCachedTestServer(t)
+	if resp := postJSON(t, ts, "/v2/pareto", symmetricWire(10, 97)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pareto status %d, want 200", resp.StatusCode)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v2/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m MetricsResponse
+	decodeResponse(t, resp, &m)
+	if m.Cache == nil || m.Cache.FoldEntries != 1 || m.Cache.FoldBytes <= 0 || m.Cache.Entries != 0 || m.Cache.Bytes != 0 {
+		t.Fatalf("cache metrics %+v, want one fold and no result", m.Cache)
+	}
+	body, _ := scrape(t, ts)
+	for _, want := range []string{"\nreccache_fold_entries 1\n", "\nreccache_fold_bytes ", "\nreccache_entries 0\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", strings.TrimSpace(want))
+		}
+	}
+}
+
 // foldLookups reads reccache_fold_lookups_total for one status off
 // GET /metrics.
 func foldLookups(t *testing.T, ts *httptest.Server, status string) float64 {

@@ -38,9 +38,9 @@ type RecommendationRequest struct {
 	AllowedTechs map[string][]string `json:"allowed_techs,omitempty"`
 
 	// Strategy optionally names the solver the search runs on —
-	// "frontier", "exhaustive", "pruned" or "auto" (the default); the
-	// retired names "branch-and-bound", "parallel-pruned", "beam", "lds"
-	// and "bounded" still run frontier.
+	// "frontier", "exhaustive" or "auto" (the default); the retired
+	// names "pruned", "branch-and-bound", "parallel-pruned", "beam",
+	// "lds" and "bounded" still run frontier.
 	//
 	// Deprecated alias: Strategy is the flat spelling of
 	// Solver.Strategy and remains fully supported — the server folds it
@@ -82,22 +82,22 @@ func (r RecommendationRequest) ToBroker() broker.Request {
 // nested "solver" member of a recommendation request. The zero value
 // means "auto with no limits".
 type SolverConfigDTO struct {
-	// Strategy names the solver: "exhaustive", "pruned", "frontier",
-	// or "auto"/"" to let the server pick. The retired names
+	// Strategy names the solver: "exhaustive", "frontier", or
+	// "auto"/"" to let the server pick. The retired names "pruned",
 	// "branch-and-bound", "parallel-pruned", "beam", "lds" and
 	// "bounded" still run, as deprecated aliases of frontier.
 	Strategy string `json:"strategy,omitempty"`
 
 	// BudgetMS caps the search's wall-clock time in milliseconds.
 	// Frontier stops at the deadline and answers with a certified
-	// incumbent; exhaustive and pruned treat it as a hard deadline (the
-	// request fails when it fires). Zero means unlimited.
+	// incumbent; exhaustive treats it as a hard deadline (the request
+	// fails when it fires). Zero means unlimited.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 
 	// MaxEvaluations caps the evaluations the search performs. Only
 	// frontier (and auto, which then resolves to it) accepts it;
-	// exhaustive and pruned cannot honor a cap and reject the request.
-	// Zero means unlimited.
+	// exhaustive cannot honor a cap and rejects the request. Zero means
+	// unlimited.
 	MaxEvaluations int64 `json:"max_evaluations,omitempty"`
 
 	// BeamWidth, MaxDiscrepancies and Epsilon are the retired anytime
@@ -182,12 +182,10 @@ type OptionCardDTO struct {
 // Strategy echoes the concrete solver that ran ("auto" requests and
 // the retired aliases see what they resolved to).
 type SearchStatsDTO struct {
-	SpaceSize    int    `json:"space_size"`
-	Evaluated    int    `json:"evaluated"`
-	Skipped      int    `json:"skipped"`
-	CoverLookups int    `json:"cover_lookups,omitempty"`
-	Clipped      int    `json:"clipped,omitempty"`
-	Strategy     string `json:"strategy,omitempty"`
+	SpaceSize int    `json:"space_size"`
+	Evaluated int    `json:"evaluated"`
+	Skipped   int    `json:"skipped"`
+	Strategy  string `json:"strategy,omitempty"`
 
 	// Approximate marks a frontier run that a budget or its state cap
 	// stopped early, answering with a certified incumbent. The
@@ -295,12 +293,10 @@ func FromRecommendation(rec *broker.Recommendation) RecommendationResponse {
 // the anytime certificate only when the run was approximate.
 func fromSearchStats(s broker.SearchStats) SearchStatsDTO {
 	dto := SearchStatsDTO{
-		SpaceSize:    s.SpaceSize,
-		Evaluated:    s.Evaluated,
-		Skipped:      s.Skipped,
-		CoverLookups: s.CoverLookups,
-		Clipped:      s.Clipped,
-		Strategy:     s.Strategy,
+		SpaceSize: s.SpaceSize,
+		Evaluated: s.Evaluated,
+		Skipped:   s.Skipped,
+		Strategy:  s.Strategy,
 	}
 	if !s.Approximate {
 		return dto
@@ -421,7 +417,8 @@ type ParamsResponse struct {
 }
 
 // CacheMetricsDTO is the wire form of the result cache's counters,
-// reccache.Metrics plus the derived hit rate.
+// reccache.Metrics plus the derived hit rate and the occupancy of the
+// frontier folds that share the cache's limits.
 type CacheMetricsDTO struct {
 	// Hits, Misses and Shared classify every cached engine call:
 	// answered from a completed entry, computed fresh, or collapsed
@@ -438,27 +435,37 @@ type CacheMetricsDTO struct {
 	// Inflight is the number of computations running right now.
 	Inflight int64 `json:"inflight"`
 
-	// Entries and Bytes are the current occupancy (Bytes is the sum
-	// of the engine's per-result size estimates).
+	// Entries and Bytes are the current occupancy of results (Bytes is
+	// the sum of the engine's per-result size estimates).
 	Entries int64 `json:"entries"`
 	Bytes   int64 `json:"bytes"`
+
+	// FoldEntries and FoldBytes are the occupancy of the frontier
+	// folds held beside the results. Folds count against the same
+	// entry cap and byte budget, so a cache's whole footprint is
+	// Bytes + FoldBytes.
+	FoldEntries int64 `json:"fold_entries"`
+	FoldBytes   int64 `json:"fold_bytes"`
 
 	// HitRate is the fraction of calls that avoided a solver run.
 	HitRate float64 `json:"hit_rate"`
 }
 
-// fromCacheMetrics converts the cache counters to wire form.
-func fromCacheMetrics(m reccache.Metrics) CacheMetricsDTO {
+// fromCacheMetrics converts the result cache's counters and its fold
+// partition's occupancy to wire form.
+func fromCacheMetrics(m, folds reccache.Metrics) CacheMetricsDTO {
 	return CacheMetricsDTO{
-		Hits:      m.Hits,
-		Misses:    m.Misses,
-		Shared:    m.Shared,
-		Evictions: m.Evictions,
-		Expired:   m.Expired,
-		Inflight:  m.Inflight,
-		Entries:   m.Entries,
-		Bytes:     m.Bytes,
-		HitRate:   m.HitRate(),
+		Hits:        m.Hits,
+		Misses:      m.Misses,
+		Shared:      m.Shared,
+		Evictions:   m.Evictions,
+		Expired:     m.Expired,
+		Inflight:    m.Inflight,
+		Entries:     m.Entries,
+		Bytes:       m.Bytes,
+		FoldEntries: folds.Entries,
+		FoldBytes:   folds.Bytes,
+		HitRate:     m.HitRate(),
 	}
 }
 

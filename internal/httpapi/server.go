@@ -637,8 +637,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Jobs:         s.jobs.Metrics(),
 		CatalogEpoch: s.engine.Catalog().Epoch(),
 	}
-	if m, ok := s.engine.CacheMetrics(); ok {
-		dto := fromCacheMetrics(m)
+	if m, folds, ok := s.engine.CacheMetrics(); ok {
+		dto := fromCacheMetrics(m, folds)
 		resp.Cache = &dto
 	}
 	if epoch, ok := s.engine.ParamsEpoch(); ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -21,7 +22,7 @@ import (
 // journal see unchanged bytes.
 func TestSolverWireBackCompat(t *testing.T) {
 	req := caseStudyWire()
-	req.Strategy = optimize.StrategyPruned
+	req.Strategy = optimize.StrategyExhaustive
 
 	encoded, err := json.Marshal(req)
 	if err != nil {
@@ -50,7 +51,7 @@ func TestSolverWireBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Search.Strategy != optimize.StrategyPruned {
+	if resp.Search.Strategy != optimize.StrategyExhaustive {
 		t.Fatalf("flat strategy echoed as %q", resp.Search.Strategy)
 	}
 	body, err := json.Marshal(resp.Search)
@@ -259,12 +260,12 @@ func TestClientSolverOptions(t *testing.T) {
 	// A per-request choice — even the deprecated flat spelling — wins
 	// wholesale over the client default.
 	req := caseStudyWire()
-	req.Strategy = optimize.StrategyPruned
+	req.Strategy = optimize.StrategyExhaustive
 	resp, err = client.Recommend(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Search.Strategy != optimize.StrategyPruned || resp.Search.Approximate {
+	if resp.Search.Strategy != optimize.StrategyExhaustive || resp.Search.Approximate {
 		t.Fatalf("per-request flat strategy lost to the client default: %+v", resp.Search)
 	}
 
@@ -280,13 +281,53 @@ func TestClientSolverOptions(t *testing.T) {
 }
 
 // TestRetiredStrategiesAnswerCaseStudy: every retired strategy name,
-// in both spellings, still answers the paper's case study — option #3
-// best, #5 min-risk, ≈62% savings — by running frontier.
+// pruned among them, in both spellings, answers the paper's case study
+// exactly as auto does — option #3 best, #5 min-risk, ≈62% savings,
+// frontier echoed — byte for byte on /v1, on /v2 and as a job, so no
+// member auto's answer lacks (pruned once added cover_lookups and
+// clipped) survives.
 func TestRetiredStrategiesAnswerCaseStudy(t *testing.T) {
-	_, client, _ := newTestServer(t)
+	ts, client, _ := newTestServer(t)
 	ctx := context.Background()
+	answers := func(req RecommendationRequest) (v1, v2, job []byte) {
+		t.Helper()
+		read := func(path string) []byte {
+			resp := postJSON(t, ts, path, req)
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, body)
+			}
+			return body
+		}
+		snap, err := client.SubmitJob(ctx, JobKindRecommend, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := client.WaitJob(ctx, snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.State != "done" || status.Progress == nil || status.Progress.Strategy != optimize.StrategyFrontier {
+			t.Fatalf("job finished %s with progress %+v, want done by frontier", status.State, status.Progress)
+		}
+		return read("/v1/recommendations"), read("/v2/recommendations"), status.Result
+	}
+
+	autoV1, autoV2, autoJob := answers(caseStudyWire())
+	var auto RecommendationResponse
+	if err := json.Unmarshal(autoV1, &auto); err != nil {
+		t.Fatal(err)
+	}
+	if auto.BestOption != 3 || auto.MinRiskOption != 5 || math.Abs(auto.SavingsPercent-62) > 2 ||
+		auto.Search.Strategy != optimize.StrategyFrontier {
+		t.Fatalf("auto: best #%d, min-risk #%d, savings %.1f%%, ran %q; want #3, #5, ~62%%, frontier",
+			auto.BestOption, auto.MinRiskOption, auto.SavingsPercent, auto.Search.Strategy)
+	}
 	for _, name := range []string{
-		optimize.StrategyBranchAndBound, optimize.StrategyParallelPruned,
+		optimize.StrategyPruned, optimize.StrategyBranchAndBound, optimize.StrategyParallelPruned,
 		optimize.StrategyBeam, optimize.StrategyLDS, optimize.StrategyBounded,
 	} {
 		flat := caseStudyWire()
@@ -294,16 +335,9 @@ func TestRetiredStrategiesAnswerCaseStudy(t *testing.T) {
 		nested := caseStudyWire()
 		nested.Solver = &SolverConfigDTO{Strategy: name}
 		for _, req := range []RecommendationRequest{flat, nested} {
-			resp, err := client.Recommend(ctx, req)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if resp.BestOption != 3 || resp.MinRiskOption != 5 || math.Abs(resp.SavingsPercent-62) > 2 {
-				t.Fatalf("%s: best #%d, min-risk #%d, savings %.1f%%; want #3, #5, ~62%%",
-					name, resp.BestOption, resp.MinRiskOption, resp.SavingsPercent)
-			}
-			if resp.Search.Strategy != optimize.StrategyFrontier {
-				t.Fatalf("%s echoed as %q, want frontier", name, resp.Search.Strategy)
+			v1, v2, job := answers(req)
+			if !bytes.Equal(v1, autoV1) || !bytes.Equal(v2, autoV2) || !bytes.Equal(job, autoJob) {
+				t.Fatalf("%s answers diverge from auto's:\nv1  %s\nv2  %s\njob %s", name, v1, v2, job)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestStrategySelectableEndToEnd(t *testing.T) {
 
 	for strategy, echo := range map[string]string{
 		optimize.StrategyExhaustive:     optimize.StrategyExhaustive,
-		optimize.StrategyPruned:         optimize.StrategyPruned,
+		optimize.StrategyPruned:         optimize.StrategyFrontier,
 		optimize.StrategyFrontier:       optimize.StrategyFrontier,
 		optimize.StrategyBranchAndBound: optimize.StrategyFrontier,
 		optimize.StrategyParallelPruned: optimize.StrategyFrontier,
@@ -132,7 +132,7 @@ func TestClientDefaultStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Search.Strategy != optimize.StrategyPruned {
+	if resp.Search.Strategy != optimize.StrategyFrontier {
 		t.Fatalf("per-request strategy lost to the client default: echoed %q", resp.Search.Strategy)
 	}
 

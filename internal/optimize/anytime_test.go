@@ -265,21 +265,25 @@ func TestFrontierStateCap(t *testing.T) {
 		t.Fatalf("capped ParetoContext = %v, want ErrFrontierStateCap", err)
 	}
 
-	// An exact strategy named beside a capped DP still answers exactly:
-	// the answer falls back to the full presentation-order stream.
+	// The presentation-order DP stops the same way, for the retired
+	// pruned name too, while exhaustive never meets the cap and stays
+	// exact.
+	for _, strat := range []string{StrategyFrontier, StrategyPruned} {
+		res, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Approximate || res.BudgetExhausted || res.Strategy != StrategyFrontier {
+			t.Fatalf("%s under the cap: approximate %v, budget exhausted %v, ran %q",
+				strat, res.Approximate, res.BudgetExhausted, res.Strategy)
+		}
+	}
 	ref, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: StrategyExhaustive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := SolvePresentation(context.Background(), p, SolverConfig{Strategy: StrategyPruned})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Approximate || !equalAssignments(pruned.Best.Assignment, ref.Best.Assignment) ||
-		!equalAssignments(pruned.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment) {
-		t.Fatalf("capped pruned answer %v/%v (approximate %v), stream %v/%v",
-			pruned.Best.Assignment, pruned.BestNoPenalty.Assignment, pruned.Approximate,
-			ref.Best.Assignment, ref.BestNoPenalty.Assignment)
+	if ref.Approximate || ref.Evaluated != p.SpaceSize() {
+		t.Fatalf("exhaustive under the cap: approximate %v, evaluated %d of %d", ref.Approximate, ref.Evaluated, p.SpaceSize())
 	}
 }
 
@@ -340,8 +344,8 @@ func TestAnytimeProgressAndStrategyHooks(t *testing.T) {
 
 // TestSolverConfigValidation covers the config surface: unknown
 // strategies and negative budgets are refused, retired names validate,
-// and an enumerating strategy refuses an evaluation cap it cannot
-// honor.
+// exhaustive refuses an evaluation cap it cannot honor, and the
+// retired pruned name runs a budgeted frontier under one.
 func TestSolverConfigValidation(t *testing.T) {
 	bad := []struct {
 		cfg  SolverConfig
@@ -361,6 +365,7 @@ func TestSolverConfigValidation(t *testing.T) {
 		{Strategy: StrategyFrontier, Budget: Budget{Wall: time.Second, MaxEvaluations: 10}},
 		{Strategy: StrategyBeam},
 		{Strategy: StrategyParallelPruned},
+		{Strategy: StrategyPruned, Budget: Budget{MaxEvaluations: 10}},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -368,20 +373,23 @@ func TestSolverConfigValidation(t *testing.T) {
 		}
 	}
 
-	p := sampleProblem()
-	for _, strat := range []string{StrategyPruned, StrategyExhaustive} {
-		if _, err := SolveConfig(context.Background(), p, SolverConfig{
-			Strategy: strat,
-			Budget:   Budget{MaxEvaluations: 10},
-		}); err == nil || !strings.Contains(err.Error(), "cannot honor max_evaluations") {
-			t.Fatalf("%s with an evaluation cap = %v, want refusal", strat, err)
-		}
+	p := BenchProblem(12, BenchSLAPercent)
+	capped := Budget{MaxEvaluations: 10}
+	if _, err := SolveConfig(context.Background(), p, SolverConfig{
+		Strategy: StrategyExhaustive,
+		Budget:   capped,
+	}); err == nil || !strings.Contains(err.Error(), "cannot honor max_evaluations") {
+		t.Fatalf("exhaustive with an evaluation cap = %v, want refusal", err)
+	}
+	res, err := SolveConfig(context.Background(), p, SolverConfig{Strategy: StrategyPruned, Budget: capped})
+	if err != nil || res.Strategy != StrategyFrontier || !res.BudgetExhausted {
+		t.Fatalf("pruned with an evaluation cap = %+v, %v; want a budget-stopped frontier run", res, err)
 	}
 }
 
-// TestResolveConfigRouting pins auto: frontier on every space, with or
-// without a budget; retired names resolve to frontier and explicit
-// names echo.
+// TestResolveConfigRouting pins the one switch: auto runs frontier,
+// with or without a budget; every retired name, pruned included, runs
+// frontier; exhaustive echoes itself.
 func TestResolveConfigRouting(t *testing.T) {
 	cases := []struct {
 		cfg  SolverConfig
@@ -390,22 +398,25 @@ func TestResolveConfigRouting(t *testing.T) {
 		{SolverConfig{}, StrategyFrontier},
 		{SolverConfig{Strategy: StrategyAuto, Budget: Budget{Wall: time.Second}}, StrategyFrontier},
 		{SolverConfig{Budget: Budget{MaxEvaluations: 1 << 20}}, StrategyFrontier},
-		{SolverConfig{Strategy: StrategyPruned}, StrategyPruned},
+		{SolverConfig{Strategy: StrategyPruned}, StrategyFrontier},
 		{SolverConfig{Strategy: StrategyExhaustive}, StrategyExhaustive},
 		{SolverConfig{Strategy: StrategyBeam}, StrategyFrontier},
 		{SolverConfig{Strategy: StrategyBranchAndBound}, StrategyFrontier},
 	}
+	p := sampleProblem()
 	for _, tc := range cases {
-		got, err := resolveConfig(tc.cfg)
-		if err != nil {
-			t.Fatalf("resolveConfig(%+v): %v", tc.cfg, err)
-		}
-		if got != tc.want {
-			t.Fatalf("resolveConfig(%+v) = %q, want %q", tc.cfg, got, tc.want)
+		for _, solve := range []func(context.Context, *Problem, SolverConfig) (Result, error){SolveConfig, SolvePresentation} {
+			res, err := solve(context.Background(), p, tc.cfg)
+			if err != nil {
+				t.Fatalf("%+v: %v", tc.cfg, err)
+			}
+			if res.Strategy != tc.want {
+				t.Fatalf("%+v ran %q, want %q", tc.cfg, res.Strategy, tc.want)
+			}
 		}
 	}
-	if _, err := resolveConfig(SolverConfig{Strategy: "nope"}); err == nil {
-		t.Fatal("resolveConfig accepted an unknown strategy")
+	if _, err := SolveConfig(context.Background(), p, SolverConfig{Strategy: "nope"}); err == nil {
+		t.Fatal("SolveConfig accepted an unknown strategy")
 	}
 }
 

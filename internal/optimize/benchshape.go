@@ -8,27 +8,25 @@ import (
 )
 
 // BenchSLAPercent is the canonical SLA for the n=19 benchmark
-// instance: minimal met level 5, so the met set holds C(19,5) = 11628
-// assignments and superset pruning is exercised in the dense regime
-// the trie index was built for.
+// instance: minimal met level 5, so C(19,5) = 11628 minimal
+// assignments meet the SLA — the SLA-dense regime where the Section
+// III.C level search's superset checks dominate its work.
 const BenchSLAPercent = 94.4
 
-// BenchSLADeepPercent is the denser adversarial variant of the same
-// instance: 95.4% sits between the level-7 (95.291%) and level-8
-// (95.672%) uptime rungs of the symmetric n=19 ladder, so the minimal
-// met level is 8 — C(19,8) = 75582 met assignments, a ~6.5x larger
-// superset index than BenchSLAPercent's, with every level above 8
-// clipped through it. It stresses cover lookups against a deep, wide
-// trie where checkpointed suffix walks matter most.
+// BenchSLADeepPercent is the denser variant of the same instance:
+// 95.4% sits between the level-7 (95.291%) and level-8 (95.672%)
+// uptime rungs of the symmetric n=19 ladder, so the minimal met level
+// is 8 — C(19,8) = 75582 minimal SLA-meeting assignments, with the
+// SLA boundary deep in the frontier DP's levels.
 const BenchSLADeepPercent = 95.4
 
 // BenchSLAWidePercent is the SLA for the n=30 wide instance: a 2^30
-// space the enumerating strategies refuse outright (MaxCandidates is
+// space the enumerating searches refuse outright (MaxCandidates is
 // 2^26), so only frontier answers it. 91.4% sits between the level-7
 // (≈91.18%) and level-8 (≈91.55%) uptime rungs of the symmetric n=30
-// ladder, so the minimal met level is 8 — the met set holds C(30,8) ≈
-// 5.85M assignments, the SLA-dense regime the wide-shape gate (an
-// exact answer within a 500ms budget) is measured on.
+// ladder, so the minimal met level is 8 — C(30,8) ≈ 5.85M minimal
+// SLA-meeting assignments, the SLA-dense regime the wide-shape gate
+// (an exact answer within a 500ms budget) is measured on.
 const BenchSLAWidePercent = 91.4
 
 // BenchWideN is the component count of the wide instance.

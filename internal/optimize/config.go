@@ -7,10 +7,10 @@ import (
 
 // Budget bounds how much work a single search may spend. Zero values
 // mean unlimited. Frontier honors both limits natively and reports
-// BudgetExhausted when one fires; for the enumerating strategies a
-// wall budget becomes a context deadline (the run aborts instead of
-// returning a partial certificate) and an evaluation cap is refused —
-// exact searches cannot stop early and still be exact.
+// BudgetExhausted when one fires; for exhaustive a wall budget
+// becomes a context deadline (the run aborts instead of returning a
+// partial certificate) and an evaluation cap is refused — an exact
+// search cannot stop early and still be exact.
 type Budget struct {
 	// Wall is the wall-clock allowance for the whole search.
 	Wall time.Duration
@@ -38,8 +38,8 @@ func (b Budget) Validate() error {
 // The zero value means "auto with no limits", which resolves exactly
 // like the flat strategy string.
 type SolverConfig struct {
-	// Strategy is the registry name (or a retired alias); "" and
-	// "auto" let ResolveConfig pick.
+	// Strategy is one of Strategies() or a retired alias; "" and
+	// "auto" run frontier.
 	Strategy string
 
 	// Budget bounds the search's work.
@@ -53,8 +53,8 @@ func (c SolverConfig) IsZero() bool {
 
 // Validate rejects unknown strategies and negative budgets.
 func (c SolverConfig) Validate() error {
-	if !ValidStrategy(c.Strategy) {
-		return fmt.Errorf("optimize: unknown strategy %q (registered: %v)", c.Strategy, Strategies())
+	if _, err := resolve(c.Strategy); err != nil {
+		return err
 	}
 	return c.Budget.Validate()
 }

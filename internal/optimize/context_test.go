@@ -41,12 +41,14 @@ func TestAllContextCancelled(t *testing.T) {
 	}
 }
 
+// TestPrunedContextCancelled: a search requested under the retired
+// pruned name runs frontier, which aborts on a cancelled context.
 func TestPrunedContextCancelled(t *testing.T) {
 	p := bigProblem(12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PrunedContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PrunedContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := Solve(ctx, p, StrategyPruned); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pruned on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 

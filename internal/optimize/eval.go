@@ -166,41 +166,11 @@ func (c *Cursor) Seek(a Assignment) error {
 	return nil
 }
 
-// Sync repositions the cursor on a, re-folding only from the first
-// digit that differs from the current position. It is the move
-// operation for callers that walk the space in their own order with
-// prefix locality (the pruned level walks): the
-// cheaper the jump, the less gets recomputed. The assignment must be
-// in range (Seek checks; Sync trusts its caller and panics on an
-// out-of-range index).
-func (c *Cursor) Sync(a Assignment) {
-	if len(a) != len(c.a) {
-		panic(fmt.Sprintf("optimize: Sync with %d entries, want %d", len(a), len(c.a)))
-	}
-	first := -1
-	for i, v := range a {
-		if c.a[i] != v {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		return
-	}
-	for i := first; i < len(a); i++ {
-		if d := a[i] - c.a[i]; d != 0 {
-			c.idx += int64(d) * c.e.place[i]
-			c.a[i] = a[i]
-		}
-	}
-	c.refold(first)
-}
-
 // Advance steps to the next candidate in mixed-radix enumeration
 // order (the last component is the fastest digit); it returns false
 // after the final candidate, wrapping the cursor back to the
-// all-baseline assignment (the cursor stays fully consistent, so a
-// subsequent Sync re-folds only genuinely changed digits).
+// all-baseline assignment with its checkpoints consistent, so the
+// cursor can be moved again.
 func (c *Cursor) Advance() bool {
 	for i := len(c.a) - 1; i >= 0; i-- {
 		c.a[i]++

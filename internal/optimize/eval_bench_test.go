@@ -14,7 +14,7 @@ import (
 // committed BENCH_*.json trajectory; it is single-threaded on both
 // sides, so the win lands on every host including 1-core runners.
 func BenchmarkEvalEngine(b *testing.B) {
-	p := slaDenseProblem(19, benchSLA)
+	p := BenchProblem(19, BenchSLAPercent)
 	b.Run("scratch/n=19", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -38,7 +38,7 @@ func BenchmarkEvalEngine(b *testing.B) {
 // materialized AllContext (every candidate cloned into an O(k^n)
 // slice).
 func BenchmarkStream(b *testing.B) {
-	p := slaDenseProblem(19, benchSLA)
+	p := BenchProblem(19, BenchSLAPercent)
 	b.Run("stream/n=19", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -61,10 +61,9 @@ func TestCursorMatchesEvaluateEnumeration(t *testing.T) {
 	}
 }
 
-// TestCursorSyncRandomAccess jumps the cursor to random assignments
-// (the access pattern of the pruned level walks and branch-and-bound)
+// TestCursorSeekRandomAccess jumps the cursor to random assignments
 // and pins every landing against the from-scratch oracle.
-func TestCursorSyncRandomAccess(t *testing.T) {
+func TestCursorSeekRandomAccess(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
 		p := randomProblem(rng)
@@ -78,20 +77,19 @@ func TestCursorSyncRandomAccess(t *testing.T) {
 			for i := range a {
 				a[i] = rng.Intn(len(p.Components[i].Variants))
 			}
-			cur.Sync(a)
+			if err := cur.Seek(a); err != nil {
+				t.Fatalf("Seek(%v): %v", a, err)
+			}
 			want, err := p.Evaluate(a)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cur.Uptime() != want.Uptime || cur.TCO() != want.TCO {
-				t.Fatalf("trial %d hop %d: Sync(%v) landed on uptime %v TCO %+v, want %v %+v",
+				t.Fatalf("trial %d hop %d: Seek(%v) landed on uptime %v TCO %+v, want %v %+v",
 					trial, hop, a, cur.Uptime(), cur.TCO(), want.Uptime, want.TCO)
 			}
 		}
-		// Seek must agree with Sync and reject bad input.
-		if err := cur.Seek(a); err != nil {
-			t.Fatalf("Seek(%v): %v", a, err)
-		}
+		// Seek rejects bad input.
 		if err := cur.Seek(append(a.Clone(), 0)); err == nil {
 			t.Fatal("Seek with wrong length should fail")
 		}
@@ -104,8 +102,8 @@ func TestCursorSyncRandomAccess(t *testing.T) {
 }
 
 // TestCursorAdvanceWrapStaysConsistent pins the wrap behavior: after
-// Advance exhausts the space, the cursor must be fully re-usable via
-// Sync without stale checkpoints leaking into the next evaluation.
+// Advance exhausts the space, the cursor must be fully re-usable
+// without stale checkpoints leaking into the next evaluation.
 func TestCursorAdvanceWrapStaysConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProblem(rng)
@@ -116,17 +114,27 @@ func TestCursorAdvanceWrapStaysConsistent(t *testing.T) {
 	cur := ev.NewCursor()
 	for cur.Advance() {
 	}
-	// The cursor wrapped to all-baseline; a Sync that differs only in
-	// the last digit must still be exact.
+	// The cursor wrapped to all-baseline, which it must price exactly,
+	// and a Seek that differs only in the last digit must still be
+	// exact.
+	base, err := p.Evaluate(make(Assignment, len(p.Components)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Index() != 0 || cur.Uptime() != base.Uptime || cur.TCO() != base.TCO {
+		t.Fatalf("wrapped cursor at index %d: %v/%+v want %v/%+v", cur.Index(), cur.Uptime(), cur.TCO(), base.Uptime, base.TCO)
+	}
 	a := make(Assignment, len(p.Components))
 	a[len(a)-1] = len(p.Components[len(a)-1].Variants) - 1
-	cur.Sync(a)
+	if err := cur.Seek(a); err != nil {
+		t.Fatal(err)
+	}
 	want, err := p.Evaluate(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cur.Uptime() != want.Uptime || cur.TCO() != want.TCO {
-		t.Fatalf("post-wrap Sync diverged: %v/%+v want %v/%+v", cur.Uptime(), cur.TCO(), want.Uptime, want.TCO)
+		t.Fatalf("post-wrap Seek diverged: %v/%+v want %v/%+v", cur.Uptime(), cur.TCO(), want.Uptime, want.TCO)
 	}
 }
 

@@ -41,8 +41,8 @@ func (m *mapFolds) Fold(ctx context.Context, key string, build func(context.Cont
 
 // TestFoldCacheNeverStoresStoppedFolds: a fold the state cap or a
 // cancellation stops comes back as an error, never as a fold a cache
-// could store; budgeted and lexicographic runs never consult the
-// cache at all.
+// could store; budgeted, exhaustive and lexicographic runs never
+// consult the cache at all.
 func TestFoldCacheNeverStoresStoppedFolds(t *testing.T) {
 	folds := &mapFolds{}
 	ctx := WithFoldCache(context.Background(), folds)
@@ -52,7 +52,6 @@ func TestFoldCacheNeverStoresStoppedFolds(t *testing.T) {
 		{Budget: Budget{MaxEvaluations: 1}},
 		{Budget: Budget{Wall: time.Minute}},
 		{Strategy: StrategyExhaustive},
-		{Strategy: StrategyPruned},
 	} {
 		if _, err := SolvePresentation(ctx, p, cfg); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
@@ -62,7 +61,7 @@ func TestFoldCacheNeverStoresStoppedFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if folds.lookups != 0 {
-		t.Fatalf("budgeted, named and lexicographic runs made %d fold lookups, want 0", folds.lookups)
+		t.Fatalf("budgeted, exhaustive and lexicographic runs made %d fold lookups, want 0", folds.lookups)
 	}
 
 	func() {

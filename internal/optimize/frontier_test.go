@@ -258,12 +258,12 @@ func TestFrontierSolvesWideShapeExactly(t *testing.T) {
 	}
 }
 
-// TestPresentationFrontierMatchesStream pins SolvePresentation's three
-// paths to one another: the DP in presentation tie order (frontier),
-// the full stream folded under the cards' rule (exhaustive) and the DP
-// beside the level search (pruned) pick the same Best and
-// BestNoPenalty assignments, priced bit-identically, on random,
-// heterogeneous, tie-heavy symmetric and zero-cost-HA shapes.
+// TestPresentationFrontierMatchesStream pins SolvePresentation's two
+// searches to one another: the DP in presentation tie order (frontier,
+// auto and the retired pruned name) and the full stream folded under
+// the cards' rule (exhaustive) pick the same Best and BestNoPenalty
+// assignments, priced bit-identically, on random, heterogeneous,
+// tie-heavy symmetric and zero-cost-HA shapes.
 func TestPresentationFrontierMatchesStream(t *testing.T) {
 	check := func(label string, p *Problem) {
 		t.Helper()
@@ -308,4 +308,95 @@ func TestPresentationFrontierMatchesStream(t *testing.T) {
 			check(fmt.Sprintf("symmetric n=%d sla=%v", n, sla), BenchProblem(n, sla))
 		}
 	}
+}
+
+// FuzzFrontierMatchesReference fuzzes the exactness contract the
+// frontier DP carries for every strategy name but exhaustive, on the
+// small random problems FuzzFoldReprice decodes: lexicographic Solve
+// and SolvePresentation match exhaustive's answers bit for bit,
+// ParetoContext matches the enumerated front, the Section III.C
+// reference reaches the same optimum while accounting for the whole
+// space, and a run stopped after one evaluation brackets the optimum
+// between its certified bound and its incumbent.
+func FuzzFrontierMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x08\x02\x01\x40\x03\x01\x00\x00\x01\x00\x02\x02\x01\x80\x07\x00\x00\x01\x00\x50\x20\x63\x90\x04\x11"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, _, _, _ := decodeFoldCase(data)
+		if err := p.Validate(); err != nil {
+			t.Skip(err)
+		}
+		ctx := context.Background()
+		same := func(what string, g, w Candidate) {
+			t.Helper()
+			if !equalAssignments(g.Assignment, w.Assignment) || g.Uptime != w.Uptime || g.TCO != w.TCO {
+				t.Fatalf("%s: %v (uptime %v, tco %+v), want %v (uptime %v, tco %+v)",
+					what, g.Assignment, g.Uptime, g.TCO, w.Assignment, w.Uptime, w.TCO)
+			}
+		}
+		sameAnswer := func(what string, g, w Result) {
+			t.Helper()
+			same(what+" best", g.Best, w.Best)
+			if g.NoPenaltyFound != w.NoPenaltyFound {
+				t.Fatalf("%s: NoPenaltyFound %v, want %v", what, g.NoPenaltyFound, w.NoPenaltyFound)
+			}
+			if w.NoPenaltyFound {
+				same(what+" min-risk", g.BestNoPenalty, w.BestNoPenalty)
+			}
+		}
+
+		ex, err := p.Exhaustive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := Solve(ctx, p, StrategyFrontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer("frontier", fr, ex)
+
+		cards, err := SolvePresentation(ctx, p, SolverConfig{Strategy: StrategyExhaustive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frCards, err := SolvePresentation(ctx, p, SolverConfig{Strategy: StrategyFrontier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer("presentation frontier", frCards, cards)
+
+		front, err := p.ParetoContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := paretoReference(t, p)
+		if len(front) != len(want) {
+			t.Fatalf("%d front points, want %d", len(front), len(want))
+		}
+		for i := range want {
+			same(fmt.Sprintf("front point %d", i), front[i], want[i])
+		}
+
+		pr, err := p.Pruned()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Best.TCO.Total() != ex.Best.TCO.Total() || pr.NoPenaltyFound != ex.NoPenaltyFound ||
+			(ex.NoPenaltyFound && pr.BestNoPenalty.TCO.Total() != ex.BestNoPenalty.TCO.Total()) {
+			t.Fatalf("pruned optimum %v/%v, exhaustive %v/%v",
+				pr.Best.TCO.Total(), pr.BestNoPenalty.TCO.Total(), ex.Best.TCO.Total(), ex.BestNoPenalty.TCO.Total())
+		}
+		if pr.Evaluated+pr.Skipped != p.SpaceSize() {
+			t.Fatalf("pruned accounting %d + %d, space %d", pr.Evaluated, pr.Skipped, p.SpaceSize())
+		}
+
+		stopped, err := SolveConfig(ctx, p, SolverConfig{Budget: Budget{MaxEvaluations: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := ex.Best.TCO.Total()
+		if stopped.Bound > opt || opt > stopped.Best.TCO.Total() {
+			t.Fatalf("one-evaluation run: bound %v, optimum %v, incumbent %v", stopped.Bound, opt, stopped.Best.TCO.Total())
+		}
+	})
 }

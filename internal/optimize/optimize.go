@@ -58,11 +58,11 @@ type Problem struct {
 	SLA cost.SLA
 }
 
-// MaxCandidates bounds the space the enumerating strategies
-// (exhaustive, pruned) accept; Equation 6 enumerates k^n candidates
-// and the paper notes n is usually under 10. Only frontier goes past
-// it: its work follows the non-dominated states, not k^n, and its
-// state cap bounds its memory.
+// MaxCandidates bounds the space the enumerating searches (exhaustive
+// and the Pruned reference) accept; Equation 6 enumerates k^n
+// candidates and the paper notes n is usually under 10. Only frontier
+// goes past it: its work follows the non-dominated states, not k^n,
+// and its state cap bounds its memory.
 const MaxCandidates = 1 << 26
 
 // maxShapeCandidates is the hard ceiling even frontier enforces: past it the int64 space-size bookkeeping (progress bars,
@@ -90,7 +90,7 @@ func (p *Problem) Validate() error {
 // MaxCandidates cap: SLA validity and the per-component invariants
 // (valid clusters, non-negative costs, baseline-cheapest ordering that
 // makes superset pruning sound). Frontier validates through it so it
-// can take spaces the enumerating strategies refuse, up to the
+// can take spaces the enumerating searches refuse, up to the
 // bookkeeping ceiling.
 func (p *Problem) ValidateShape() error {
 	if len(p.Components) == 0 {
@@ -250,18 +250,9 @@ type Result struct {
 	Evaluated int
 
 	// Skipped counts candidates resolved without evaluation: clipped
-	// by the pruned search, or dropped with a dominated frontier state
-	// (zero for exhaustive).
+	// by the Pruned reference, or dropped with a dominated frontier
+	// state (zero for exhaustive).
 	Skipped int
-
-	// CoverLookups counts superset-index lookups performed (one per
-	// leaf reached by the pruned search; zero for the others).
-	CoverLookups int
-
-	// Clipped counts candidates clipped because a recorded SLA-meeting
-	// assignment covered them (the pruned search; equal to its
-	// Skipped).
-	Clipped int
 
 	// Strategy is the name of the concrete solver that produced the
 	// result when it came through Solve ("auto" and the retired aliases

@@ -4,7 +4,7 @@ import "context"
 
 // ProgressFunc receives periodic search-progress reports: how many of
 // the space's candidates have been accounted for (evaluated or
-// clipped) and the total space size k^n. Implementations must be fast
+// skipped) and the total space size k^n. Implementations must be fast
 // and non-blocking — the enumeration loops call them inline.
 type ProgressFunc func(evaluated, spaceSize int64)
 
@@ -13,7 +13,7 @@ type progressKey struct{}
 
 // WithProgress attaches a progress hook to the context. Every search
 // entry point that takes a context (AllContext, ExhaustiveContext,
-// PrunedContext, ParetoContext, Solve) reports through it on a fixed
+// StreamContext, ParetoContext, Solve) reports through it on a fixed
 // cadence plus once at completion; a nil fn detaches.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
@@ -50,7 +50,7 @@ func newProgressTicker(ctx context.Context, p *Problem) progressTicker {
 	return progressTicker{fn: fn, space: int64(p.SpaceSize())}
 }
 
-// advance accounts for k more candidates (evaluated or clipped) and
+// advance accounts for k more candidates (evaluated or skipped) and
 // reports on the cadence boundary.
 func (t *progressTicker) advance(k int64) {
 	if t.fn == nil {
@@ -71,8 +71,8 @@ func (t *progressTicker) done() {
 }
 
 // StrategyFunc receives the name of the concrete solver a Solve call
-// resolved to — for "auto" that is the strategy the heuristic picked,
-// for explicit strategies it echoes the request. Like ProgressFunc it
+// resolved to: frontier for "auto" and the retired aliases, the
+// request's own name otherwise. Like ProgressFunc it
 // must be fast and non-blocking.
 type StrategyFunc func(strategy string)
 

@@ -43,18 +43,19 @@ func TestAllContextReportsProgress(t *testing.T) {
 	}
 }
 
+// TestPrunedContextProgressCoversSpace: a search requested under the
+// retired pruned name reports frontier's progress, whose final report
+// accounts for the whole space as evaluated + skipped.
 func TestPrunedContextProgressCoversSpace(t *testing.T) {
 	p := progressProblem(t)
 	var final, space int64
 	ctx := WithProgress(context.Background(), func(evaluated, sp int64) {
 		final, space = evaluated, sp
 	})
-	res, err := p.PrunedContext(ctx)
+	res, err := Solve(ctx, p, StrategyPruned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Clipped candidates count as progress, so the final report is
-	// evaluated + skipped = the whole space.
 	if final != int64(res.Evaluated+res.Skipped) {
 		t.Fatalf("final progress %d, want evaluated+skipped = %d", final, res.Evaluated+res.Skipped)
 	}

@@ -3,39 +3,21 @@ package optimize
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 )
 
-// Solver is one search algorithm over a Problem. Every registered
-// solver uniformly supports context cancellation, WithProgress hooks
-// and WithStrategyReport hooks, and returns the same Best/BestNoPenalty
-// assignments as exhaustive for the same problem (a property the
-// equivalence tests enforce on randomized instances). A frontier run
-// that a budget or its state cap stops early is the one exception: it
-// marks its result Approximate and certifies how far its incumbent can
-// be from optimal through the Result's Bound/Gap fields.
-type Solver interface {
-	// Name is the strategy's registry key, e.g. "pruned".
-	Name() string
-
-	// Solve runs the search. The context carries cancellation plus the
-	// optional progress/strategy hooks.
-	Solve(ctx context.Context, p *Problem) (Result, error)
-}
-
-// Built-in strategy names.
+// Strategy names. Every strategy supports context cancellation,
+// WithProgress hooks and WithStrategyReport hooks, and returns the
+// same Best/BestNoPenalty assignments as exhaustive for the same
+// problem (a property the equivalence tests enforce on randomized
+// instances). A frontier run that a budget or its state cap stops
+// early is the one exception: it marks its result Approximate and
+// certifies how far its incumbent can be from optimal through the
+// Result's Bound/Gap fields.
 const (
 	// StrategyExhaustive prices every one of the k^n candidates
 	// (Equation 6 verbatim): the reference, and the only strategy whose
 	// Evaluated always equals the space size.
 	StrategyExhaustive = "exhaustive"
-
-	// StrategyPruned is the Section III.C level search with the
-	// trie-indexed superset check: SLA-meeting assignments clip all of
-	// their supersets from later levels. It is kept for the paper's
-	// effort statistics.
-	StrategyPruned = "pruned"
 
 	// StrategyFrontier is the exact dominance DP of frontier.go, the
 	// production strategy: it folds one component per level and keeps
@@ -51,10 +33,13 @@ const (
 )
 
 // Retired strategy names. Each is a deprecated alias of frontier: it
-// still validates and runs, and results echo "frontier".
+// still validates and runs, and results echo "frontier". The Section
+// III.C level search that "pruned" used to name survives as the
+// Problem.Pruned reference.
 //
 // Deprecated: name StrategyFrontier (or StrategyAuto) instead.
 const (
+	StrategyPruned         = "pruned"
 	StrategyBranchAndBound = "branch-and-bound"
 	StrategyParallelPruned = "parallel-pruned"
 	StrategyBeam           = "beam"
@@ -62,116 +47,30 @@ const (
 	StrategyBounded        = "bounded"
 )
 
-// aliases maps each retired strategy name onto the strategy it runs.
-var aliases = map[string]string{
-	StrategyBranchAndBound: StrategyFrontier,
-	StrategyParallelPruned: StrategyFrontier,
-	StrategyBeam:           StrategyFrontier,
-	StrategyLDS:            StrategyFrontier,
-	StrategyBounded:        StrategyFrontier,
-}
-
-// solverFunc adapts a function to the Solver interface.
-type solverFunc struct {
-	name string
-	fn   func(ctx context.Context, p *Problem) (Result, error)
-}
-
-func (s solverFunc) Name() string { return s.name }
-func (s solverFunc) Solve(ctx context.Context, p *Problem) (Result, error) {
-	return s.fn(ctx, p)
-}
-
-// registry holds the named strategies. The built-ins register at init;
-// RegisterSolver admits additional ones.
-var registry = struct {
-	sync.RWMutex
-	m map[string]Solver
-}{m: make(map[string]Solver)}
-
-func init() {
-	for _, s := range []solverFunc{
-		{StrategyExhaustive, func(ctx context.Context, p *Problem) (Result, error) { return p.ExhaustiveContext(ctx) }},
-		{StrategyPruned, func(ctx context.Context, p *Problem) (Result, error) { return p.PrunedContext(ctx) }},
-		{StrategyFrontier, func(ctx context.Context, p *Problem) (Result, error) { return p.frontierSearch(ctx, Budget{}, false) }},
-		{StrategyAuto, func(ctx context.Context, p *Problem) (Result, error) { return Solve(ctx, p, StrategyAuto) }},
-	} {
-		if err := RegisterSolver(s); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// RegisterSolver adds a named strategy to the registry. Registered
-// solvers must be exact (same optimum as exhaustive). Duplicate or
-// empty names, and the retired aliases, are an error.
-func RegisterSolver(s Solver) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("optimize: solver must have a name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	_, alias := aliases[s.Name()]
-	if _, dup := registry.m[s.Name()]; dup || alias {
-		return fmt.Errorf("optimize: solver %q already registered", s.Name())
-	}
-	registry.m[s.Name()] = s
-	return nil
-}
-
-// Strategies returns the registered strategy names, sorted. The
+// Strategies returns the selectable strategy names, sorted. The
 // retired aliases are not listed.
 func Strategies() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return []string{StrategyAuto, StrategyExhaustive, StrategyFrontier}
 }
 
-// ValidStrategy reports whether name is registered or a retired alias
-// ("" counts as valid: it means the caller's default, auto).
+// ValidStrategy reports whether name is a strategy or a retired alias
+// ("" counts as valid: it means auto).
 func ValidStrategy(name string) bool {
-	_, err := solverByName(name)
+	_, err := resolve(name)
 	return err == nil
 }
 
-// solverByName resolves a registered strategy; "" resolves to auto
-// and a retired alias to the strategy it runs.
-func solverByName(name string) (Solver, error) {
-	if name == "" {
-		name = StrategyAuto
-	}
-	if to, ok := aliases[name]; ok {
-		name = to
-	}
-	registry.RLock()
-	s, ok := registry.m[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("optimize: unknown strategy %q (registered: %v)", name, Strategies())
-	}
-	return s, nil
-}
-
-// resolveConfig reports the concrete solver a config names: "" and
-// "auto" resolve to frontier, a retired alias resolves to frontier,
-// and anything else echoes the registered name.
-func resolveConfig(cfg SolverConfig) (string, error) {
-	if err := cfg.Validate(); err != nil {
-		return "", err
-	}
-	s, err := solverByName(cfg.Strategy)
-	if err != nil {
-		return "", err
-	}
-	if s.Name() == StrategyAuto {
+// resolve names the search a strategy runs: "", auto and every
+// retired alias run frontier.
+func resolve(name string) (string, error) {
+	switch name {
+	case "", StrategyAuto, StrategyFrontier, StrategyPruned, StrategyBranchAndBound,
+		StrategyParallelPruned, StrategyBeam, StrategyLDS, StrategyBounded:
 		return StrategyFrontier, nil
+	case StrategyExhaustive:
+		return StrategyExhaustive, nil
 	}
-	return s.Name(), nil
+	return "", fmt.Errorf("optimize: unknown strategy %q (choose from %v)", name, Strategies())
 }
 
 // Solve runs the named strategy ("" or "auto" runs frontier) and
@@ -185,9 +84,8 @@ func Solve(ctx context.Context, p *Problem, strategy string) (Result, error) {
 
 // SolveConfig is Solve under a budget. Frontier honors both budget
 // kinds natively, answering with a certified incumbent when one fires.
-// For the enumerating strategies a wall budget becomes a context
-// deadline, and an evaluation cap is refused: they cannot stop early
-// and still be exact.
+// For exhaustive a wall budget becomes a context deadline, and an
+// evaluation cap is refused: it cannot stop early and still be exact.
 func SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
 	return solveConfig(ctx, p, cfg, false)
 }
@@ -198,70 +96,40 @@ func SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, err
 // candidate in presentation order (fewest clustered components, then
 // lexicographic) instead of to the higher uptime. Frontier runs its DP
 // in presentation tie order and exhaustive folds the full stream under
-// the rule, so both report their own effort; any other strategy runs
-// only for its effort statistics, beside a presentation-order frontier
-// run that supplies the answer. Budgets, hooks and the strategy echo
-// behave as in SolveConfig.
+// the rule. Budgets, hooks and the strategy echo behave as in
+// SolveConfig.
 func SolvePresentation(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
 	return solveConfig(ctx, p, cfg, true)
 }
 
 func solveConfig(ctx context.Context, p *Problem, cfg SolverConfig, presentation bool) (Result, error) {
-	name, err := resolveConfig(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	name, _ := resolve(cfg.Strategy)
 	reportStrategy(ctx, name)
-	if name != StrategyFrontier {
-		if cfg.Budget.MaxEvaluations > 0 {
-			return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use frontier or auto", name)
-		}
+	var res Result
+	var err error
+	switch {
+	case name == StrategyFrontier:
+		res, err = p.frontierSearch(ctx, cfg.Budget, presentation)
+	case cfg.Budget.MaxEvaluations > 0:
+		return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use frontier or auto", name)
+	default:
 		if cfg.Budget.Wall > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, cfg.Budget.Wall)
 			defer cancel()
 		}
-	}
-	var res Result
-	switch {
-	case name == StrategyFrontier:
-		res, err = p.frontierSearch(ctx, cfg.Budget, presentation)
-	case !presentation:
-		s, _ := solverByName(name)
-		res, err = s.Solve(ctx, p)
-	case name == StrategyExhaustive:
-		res, err = p.exhaustivePresentation(ctx)
-	default:
-		res, err = p.solveBeside(ctx, name)
+		if presentation {
+			res, err = p.exhaustivePresentation(ctx)
+		} else {
+			res, err = p.ExhaustiveContext(ctx)
+		}
 	}
 	if err != nil {
 		return Result{}, err
 	}
 	res.Strategy = name
-	return res, nil
-}
-
-// solveBeside answers in presentation order from a frontier run and
-// takes the effort statistics from the named solver. Only the solver
-// reports progress, so watchers see one pass over the space, and the
-// frontier run folds for itself, as named strategies always have.
-func (p *Problem) solveBeside(ctx context.Context, name string) (Result, error) {
-	quiet := WithFoldCache(WithProgress(ctx, nil), nil)
-	res, err := p.frontierSearch(quiet, Budget{}, true)
-	if err == nil && res.Approximate {
-		// The state cap stopped the DP, and the named strategy is exact:
-		// the answer comes from the full stream instead.
-		res, err = p.exhaustivePresentation(quiet)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	s, _ := solverByName(name)
-	stats, err := s.Solve(ctx, p)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Evaluated, res.Skipped = stats.Evaluated, stats.Skipped
-	res.CoverLookups, res.Clipped = stats.CoverLookups, stats.Clipped
 	return res, nil
 }

@@ -9,12 +9,14 @@ import (
 	"testing"
 )
 
+// TestStrategiesRegistered pins the selectable set to the two searches
+// plus auto; every retired name, pruned included, still validates.
 func TestStrategiesRegistered(t *testing.T) {
-	want := []string{StrategyAuto, StrategyExhaustive, StrategyFrontier, StrategyPruned}
+	want := []string{StrategyAuto, StrategyExhaustive, StrategyFrontier}
 	if got := Strategies(); !slices.Equal(got, want) {
 		t.Fatalf("Strategies() = %v, want %v", got, want)
 	}
-	for _, name := range append(want, StrategyBranchAndBound, StrategyParallelPruned, StrategyBeam, StrategyLDS, StrategyBounded) {
+	for _, name := range append(want, StrategyPruned, StrategyBranchAndBound, StrategyParallelPruned, StrategyBeam, StrategyLDS, StrategyBounded) {
 		if !ValidStrategy(name) {
 			t.Fatalf("ValidStrategy(%q) = false", name)
 		}
@@ -34,20 +36,8 @@ func TestSolveUnknownStrategy(t *testing.T) {
 	}
 }
 
-func TestRegisterSolverRejectsDuplicates(t *testing.T) {
-	if err := RegisterSolver(solverFunc{StrategyPruned, nil}); err == nil {
-		t.Fatal("duplicate registration should fail")
-	}
-	if err := RegisterSolver(nil); err == nil {
-		t.Fatal("nil solver should fail")
-	}
-	if err := RegisterSolver(solverFunc{StrategyBeam, nil}); err == nil {
-		t.Fatal("registering over a retired alias should fail")
-	}
-}
-
-// TestSolverEquivalenceOnRandomInstances is the registry-wide
-// exactness guarantee: every strategy returns the identical
+// TestSolverEquivalenceOnRandomInstances is the exactness guarantee:
+// every strategy returns the identical
 // Best/BestNoPenalty assignments on randomized instances, and its
 // accounting covers the space.
 func TestSolverEquivalenceOnRandomInstances(t *testing.T) {
@@ -86,33 +76,6 @@ func TestSolverEquivalenceOnRandomInstances(t *testing.T) {
 				t.Fatalf("trial %d: %s accounting %d+%d != space %d",
 					trial, strategy, res.Evaluated, res.Skipped, ref.Evaluated)
 			}
-		}
-	}
-}
-
-// TestIndexedPrunedMatchesLinear pins the trie index to the linear
-// reference scan candidate for candidate: identical Evaluated and
-// Skipped, not just the same optimum.
-func TestIndexedPrunedMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 150; trial++ {
-		p := randomProblem(rng)
-		indexed, err := p.PrunedContext(context.Background())
-		if err != nil {
-			t.Fatalf("trial %d: indexed: %v", trial, err)
-		}
-		linear, err := p.prunedLinear(context.Background())
-		if err != nil {
-			t.Fatalf("trial %d: linear: %v", trial, err)
-		}
-		if indexed.Evaluated != linear.Evaluated || indexed.Skipped != linear.Skipped ||
-			indexed.CoverLookups != linear.CoverLookups || indexed.Clipped != linear.Clipped {
-			t.Fatalf("trial %d: indexed accounting (ev=%d sk=%d cl=%d clip=%d) != linear (ev=%d sk=%d cl=%d clip=%d)",
-				trial, indexed.Evaluated, indexed.Skipped, indexed.CoverLookups, indexed.Clipped,
-				linear.Evaluated, linear.Skipped, linear.CoverLookups, linear.Clipped)
-		}
-		if !equalAssignments(indexed.Best.Assignment, linear.Best.Assignment) {
-			t.Fatalf("trial %d: indexed best %v != linear %v", trial, indexed.Best.Assignment, linear.Best.Assignment)
 		}
 	}
 }

@@ -10,15 +10,22 @@ import (
 	"uptimebroker/internal/catalog"
 )
 
-// recommend answers req on a default engine with the given strategy
-// and lists all of its cards.
-func recommend(t *testing.T, req broker.Request, strategy string) (*broker.Recommendation, []broker.OptionCard) {
+// newEngine builds a default engine over the built-in catalog.
+func newEngine(t *testing.T) *broker.Engine {
 	t.Helper()
 	cat := catalog.Default()
-	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat}, broker.WithDefaultStrategy(strategy))
+	engine, err := broker.New(cat, broker.CatalogParams{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return engine
+}
+
+// recommend answers req on a default engine and lists all of its
+// cards.
+func recommend(t *testing.T, req broker.Request) (*broker.Recommendation, []broker.OptionCard) {
+	t.Helper()
+	engine := newEngine(t)
 	rec, err := engine.Recommend(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +39,7 @@ func recommend(t *testing.T, req broker.Request, strategy string) (*broker.Recom
 
 func caseStudyRec(t *testing.T) (*broker.Recommendation, []broker.OptionCard) {
 	t.Helper()
-	return recommend(t, broker.CaseStudy(), "")
+	return recommend(t, broker.CaseStudy())
 }
 
 func TestTextRendersAllOptions(t *testing.T) {
@@ -59,11 +66,19 @@ func TestTextRendersAllOptions(t *testing.T) {
 		}
 	}
 
-	// The paper's Section III.C effort comes from the pruned search
-	// asked for by name.
-	pruned, cards := recommend(t, broker.CaseStudy(), "pruned")
+	// The paper's Section III.C effort comes from the level-search
+	// reference on the compiled case study.
+	p, err := newEngine(t).Compile(broker.CaseStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := p.Pruned()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Search.Evaluated, rec.Search.Skipped = pr.Evaluated, pr.Skipped
 	sb.Reset()
-	if err := Text(&sb, pruned, cards); err != nil {
+	if err := Text(&sb, rec, cards); err != nil {
 		t.Fatal(err)
 	}
 	if want := "8 options, 7 evaluated, 1 pruned"; !strings.Contains(sb.String(), want) {
@@ -74,7 +89,7 @@ func TestTextRendersAllOptions(t *testing.T) {
 func TestTextWithoutAsIs(t *testing.T) {
 	req := broker.CaseStudy()
 	req.AsIs = nil
-	rec, cards := recommend(t, req, "")
+	rec, cards := recommend(t, req)
 	var sb strings.Builder
 	if err := Text(&sb, rec, cards); err != nil {
 		t.Fatalf("Text: %v", err)

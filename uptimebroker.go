@@ -106,17 +106,14 @@ type (
 
 	// Engine is the brokerage core.
 	Engine = broker.Engine
-	// EngineOption customizes NewEngine (default solver strategy).
+	// EngineOption customizes NewEngine (result cache, metrics).
 	EngineOption = broker.EngineOption
 	// Request is a brokerage request.
 	Request = broker.Request
-	// Solver is one pluggable search strategy over a compiled problem;
-	// register custom exact strategies with RegisterSolver.
-	Solver = optimize.Solver
-	// Problem is the compiled search instance a Solver runs on; obtain
-	// one from Engine.Compile.
+	// Problem is the compiled search instance; obtain one from
+	// Engine.Compile.
 	Problem = optimize.Problem
-	// SolverResult is a Solver's outcome: the optimum under both
+	// SolverResult is a search's outcome: the optimum under both
 	// orderings plus effort statistics — and, for a budget-stopped
 	// frontier run, the certified bound/gap/optimal certificate.
 	SolverResult = optimize.Result
@@ -136,10 +133,6 @@ type (
 	ComponentChoices = optimize.ComponentChoices
 	// Variant is one HA choice for one component.
 	Variant = optimize.Variant
-	// Evaluator is a Problem compiled for incremental evaluation:
-	// per-variant availability terms and costs derived once, shared
-	// read-only across any number of Cursors.
-	Evaluator = optimize.Evaluator
 	// Cursor is a position in a compiled Problem's candidate space
 	// with checkpointed evaluation state: moving it re-folds only the
 	// changed assignment digits (amortized O(1) per enumeration step,
@@ -275,16 +268,15 @@ const (
 
 // Solver strategy names, selectable per request (Request.Solver /
 // the wire "solver" object, or the deprecated flat "strategy" field),
-// per engine (WithDefaultStrategy), per client (WithStrategy /
-// WithSolverConfig) and per uptimectl invocation (-strategy). All are
-// exact and differ only in latency and effort statistics. Frontier
-// alone honors an evaluation budget, and when a budget stops it early
-// it certifies the optimality gap of its incumbent
+// per client (WithStrategy / WithSolverConfig) and per uptimectl
+// invocation (-strategy). Both searches are exact and differ only in
+// latency and effort statistics; auto runs frontier. Frontier alone
+// honors an evaluation budget, and when a budget stops it early it
+// certifies the optimality gap of its incumbent
 // (SearchStats.Bound/Gap/Optimal).
 const (
 	StrategyAuto       = optimize.StrategyAuto
 	StrategyExhaustive = optimize.StrategyExhaustive
-	StrategyPruned     = optimize.StrategyPruned
 	StrategyFrontier   = optimize.StrategyFrontier
 )
 
@@ -292,6 +284,7 @@ const (
 //
 // Deprecated: use StrategyFrontier or StrategyAuto.
 const (
+	StrategyPruned         = optimize.StrategyPruned
 	StrategyBranchAndBound = optimize.StrategyBranchAndBound
 	StrategyParallelPruned = optimize.StrategyParallelPruned
 	StrategyBeam           = optimize.StrategyBeam
@@ -303,25 +296,8 @@ const (
 // full list.
 const MaxCards = broker.MaxCards
 
-// Strategies lists the registered solver strategy names.
+// Strategies lists the selectable solver strategy names.
 func Strategies() []string { return optimize.Strategies() }
-
-// RegisterSolver adds a custom named strategy to the solver registry.
-// Registered solvers must be exact (identical optimum to exhaustive);
-// the brokerage treats strategy purely as a performance knob.
-func RegisterSolver(s Solver) error { return optimize.RegisterSolver(s) }
-
-// NewEvaluator validates and compiles a problem for incremental
-// evaluation; custom Solvers use it to price candidates in amortized
-// O(1) per enumeration step with values bit-identical to
-// Problem.Evaluate.
-func NewEvaluator(p *Problem) (*Evaluator, error) { return optimize.NewEvaluator(p) }
-
-// WithDefaultStrategy sets the engine-wide solver strategy for
-// requests that do not name one (built-in default: auto).
-func WithDefaultStrategy(strategy string) EngineOption {
-	return broker.WithDefaultStrategy(strategy)
-}
 
 // WithResultCache fronts the engine with a content-addressed
 // recommendation cache: completed Recommend answers are stored under a
@@ -364,8 +340,7 @@ func Dollars(d float64) Money { return cost.Dollars(d) }
 func DefaultCatalog() *Catalog { return catalog.Default() }
 
 // NewEngine builds a brokerage engine over a catalog and parameter
-// source; options set engine-wide defaults such as the solver
-// strategy.
+// source; options attach a result cache and a metrics registry.
 func NewEngine(cat *Catalog, params ParamSource, opts ...EngineOption) (*Engine, error) {
 	return broker.New(cat, params, opts...)
 }
